@@ -17,6 +17,7 @@ from .colex import colex_ideal
 from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
 from .errors import AmbientCapExceeded, ContractViolation, OracleTooLarge
 from .ideals import MonomialIdeal
+from .monomials import MAX_VARIABLES
 from .verify import CLAIMS, run_claim
 
 EXIT_OK = 0
@@ -91,17 +92,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if not 1 <= args.n <= MAX_VARIABLES:
+        raise ContractViolation(f"--n must lie in 1..{MAX_VARIABLES}, got {args.n}")
+    if args.d is not None and not 1 <= args.d <= args.n:
+        raise ContractViolation(f"--d must lie in 1..{args.n}, got {args.d}")
     if args.ideals:
-        degree_pairs = None
-        max_degrees = 2
         if args.d is not None:
             # restrict to ideals generated exactly in degree d
             for mset in enumerate_strongly_stable_sets(args.n, args.d):
                 print(json.dumps(MonomialIdeal(args.n, mset).as_dict()))
             return EXIT_OK
-        for ideal in enumerate_strongly_stable_ideals(
-            args.n, max_degrees=max_degrees, degree_pairs=degree_pairs
-        ):
+        for ideal in enumerate_strongly_stable_ideals(args.n):
             print(json.dumps(ideal.as_dict()))
         return EXIT_OK
     if args.d is None:

@@ -67,11 +67,13 @@ def greedy_generators(profile: DegreeProfile, m: int) -> tuple[ColexStep, ...] |
     for degree, count in profile:
         picks: list[Monomial] = []
         for mask in iter_degree_masks(m, degree):
-            if any(g & mask == g for g in chosen_masks):
-                continue
-            picks.append(Monomial(mask))
-            if len(picks) == count:
-                break
+            for g in chosen_masks:
+                if g & mask == g:
+                    break
+            else:
+                picks.append(Monomial(mask))
+                if len(picks) == count:
+                    break
         if len(picks) < count:
             return None
         chosen_masks.extend(u.mask for u in picks)

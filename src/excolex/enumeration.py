@@ -2,9 +2,11 @@
 
 A degree component is strongly stable exactly when it is down-closed for the
 index-lowering moves, and ascending mask order is a linear extension of that
-order. So a depth-first walk that may include an element only once all its
-one-move reductions are in produces every down-set exactly once, with no
-post-filtering.
+order. So a backtracking scan over the ascending masks that may include an
+element only once all its one-move reductions are in produces every down-set
+exactly once, with no post-filtering. The scan keeps its decisions on an
+explicit stack rather than recursing, so the number of candidate monomials is
+not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,30 +21,57 @@ def _reduction_masks(mask: int) -> tuple[int, ...]:
     return tuple(v.mask for v in borel_reductions(Monomial(mask)))
 
 
+def _down_sets(
+    elems: list[int], given: set[int], cap: int | None
+) -> Iterator[list[Monomial]]:
+    """Every down-closed choice from ``elems`` (ascending masks), exclude first.
+
+    A reduction in ``given`` counts as already chosen. Each choice is yielded
+    as the live stack of chosen monomials in ascending order, which the caller
+    must copy before resuming. This is the depth-first order of the binary
+    walk that at each element first skips it and then, when its reductions are
+    all in and fewer than ``cap`` elements are chosen, takes it.
+    """
+    where = {m: i for i, m in enumerate(elems)}
+    # needs[i]: bit j set when elems[j] is a reduction of elems[i] (so j < i)
+    needs = [
+        sum(1 << where[r] for r in _reduction_masks(m) if r not in given)
+        for m in elems
+    ]
+    monos = [Monomial(m) for m in elems]
+    cap = len(elems) if cap is None else cap
+    taken: list[int] = []  # positions chosen, ascending
+    chosen: list[Monomial] = []
+    bits = 0
+    while True:
+        yield chosen
+        # the deepest position whose take-branch is still open
+        i = len(elems) - 1
+        while i >= 0:
+            if taken and taken[-1] == i:
+                taken.pop()
+                chosen.pop()
+                bits ^= 1 << i
+            elif bits & needs[i] == needs[i] and len(taken) < cap:
+                break
+            i -= 1
+        else:
+            return
+        taken.append(i)
+        chosen.append(monos[i])
+        bits |= 1 << i
+
+
 def enumerate_strongly_stable_sets(n: int, d: int) -> Iterator[tuple[Monomial, ...]]:
     """Every nonempty strongly stable set of degree d over e_1..e_n, once each.
 
     Yields tuples sorted in decreasing revlex order; the stream order is
     deterministic.
     """
-    elems = list(iter_degree_masks(n, d))
-    preds = [_reduction_masks(m) for m in elems]
-
-    def walk(idx: int, chosen: set[int], ordered: list[int]):
-        if idx == len(elems):
-            if ordered:
-                yield tuple(Monomial(m) for m in ordered)
-            return
-        yield from walk(idx + 1, chosen, ordered)
-        mask = elems[idx]
-        if all(p in chosen for p in preds[idx]):
-            chosen.add(mask)
-            ordered.append(mask)
-            yield from walk(idx + 1, chosen, ordered)
-            chosen.discard(mask)
-            ordered.pop()
-
-    yield from walk(0, set(), [])
+    walk = _down_sets(list(iter_degree_masks(n, d)), set(), None)
+    next(walk)  # the empty set comes first
+    for chosen in walk:
+        yield tuple(chosen)
 
 
 def enumerate_strongly_stable_supersets(
@@ -58,27 +87,9 @@ def enumerate_strongly_stable_supersets(
     """
     base_masks = {u.mask for u in base}
     elems = [m for m in iter_degree_masks(n, d) if m not in base_masks]
-    preds = [_reduction_masks(m) for m in elems]
-
-    def emit(extra: list[int]) -> tuple[Monomial, ...]:
-        return tuple(Monomial(m) for m in sorted(base_masks | set(extra)))
-
-    def walk(idx: int, chosen: set[int], ordered: list[int]):
-        if idx == len(elems):
-            yield emit(ordered)
-            return
-        yield from walk(idx + 1, chosen, ordered)
-        if max_extra is not None and len(ordered) >= max_extra:
-            return
-        mask = elems[idx]
-        if all(p in base_masks or p in chosen for p in preds[idx]):
-            chosen.add(mask)
-            ordered.append(mask)
-            yield from walk(idx + 1, chosen, ordered)
-            chosen.discard(mask)
-            ordered.pop()
-
-    yield from walk(0, set(), [])
+    base_monos = [Monomial(m) for m in base_masks]
+    for chosen in _down_sets(elems, base_masks, max_extra):
+        yield tuple(sorted(base_monos + chosen))
 
 
 def enumerate_strongly_stable_ideals(

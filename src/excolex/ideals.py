@@ -5,6 +5,10 @@ contained in supp(v), so ideal membership of a monomial is a subset test
 against the generators. Graded components are computed by that superset test
 directly, independently of iterated shadows, which lets the two routes
 cross-check each other.
+
+Minimality only ever compares generators of different degrees: distinct masks
+with the same bit count are never subsets of one another, so a generating set
+of a single degree is minimal as soon as it has no duplicates.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ DegreeProfile = tuple[tuple[int, int], ...]
 
 
 def _canonical(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    return tuple(sorted(gens, key=lambda u: (u.degree, u.mask)))
+    return tuple(sorted(gens, key=lambda u: (u.mask.bit_count(), u.mask)))
 
 
 @dataclass(frozen=True)
@@ -44,23 +48,36 @@ class MonomialIdeal:
     def __post_init__(self):
         gens = _canonical(self.gens)
         object.__setattr__(self, "gens", gens)
-        if not 1 <= self.n <= MAX_VARIABLES:
-            raise ContractViolation(f"ambient size out of range: {self.n}")
+        n = self.n
+        if not 1 <= n <= MAX_VARIABLES:
+            raise ContractViolation(f"ambient size out of range: {n}")
         if not gens:
             raise ContractViolation("an ideal needs at least one generator")
-        seen: set[int] = set()
-        for u in gens:
-            if u.degree == 0:
+        masks = [u.mask for u in gens]
+        previous = None
+        for u, mask in zip(gens, masks):
+            if mask == 0:
                 raise ContractViolation("the unit monomial generates an improper ideal")
-            if u.max_index > self.n:
-                raise ContractViolation(f"generator {u} does not live in e_1..e_{self.n}")
-            if u.mask in seen:
+            if mask.bit_length() > n:
+                raise ContractViolation(f"generator {u} does not live in e_1..e_{n}")
+            if mask == previous:  # sorted, so equal masks are adjacent
                 raise ContractViolation(f"duplicate generator {u}")
-            seen.add(u.mask)
-        for u in gens:
-            for v in gens:
-                if u.mask != v.mask and u.divides(v):
-                    raise ContractViolation(f"{u} divides {v}; generators are not minimal")
+            previous = mask
+        # a proper divisor has strictly lower degree: test each generator
+        # against the generators of higher degree only, first pair first
+        count = len(masks)
+        higher = 0  # index of the first generator of degree above masks[i]
+        for i, u in enumerate(masks):
+            if higher <= i:
+                degree = u.bit_count()
+                higher = i + 1
+                while higher < count and masks[higher].bit_count() == degree:
+                    higher += 1
+            for j in range(higher, count):
+                if u & masks[j] == u:
+                    raise ContractViolation(
+                        f"{gens[i]} divides {gens[j]}; generators are not minimal"
+                    )
 
     @property
     def indeg(self) -> int:
@@ -74,7 +91,11 @@ class MonomialIdeal:
         return tuple(u for u in self.gens if u.degree == d)
 
     def contains(self, mono: Monomial) -> bool:
-        return any(g.divides(mono) for g in self.gens)
+        mask = mono.mask
+        for g in self.gens:
+            if g.mask & mask == g.mask:
+                return True
+        return False
 
     def reembed(self, n: int) -> "MonomialIdeal":
         """The same generators read in an ambient of size n."""
@@ -94,7 +115,7 @@ class MonomialIdeal:
             raise ContractViolation(
                 'ideal JSON must look like {"n": 5, "generators": [[1,2],[1,3,4]]}'
             ) from None
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise ContractViolation(f"ambient size must be an integer, got {n!r}")
         gens = [parse_monomial(entry, allow_text=allow_text) for entry in raw]
         return minimalize(n, gens)
@@ -114,20 +135,41 @@ def parse_monomial(entry, allow_text: bool = True) -> Monomial:
 
 
 def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
-    """Drop duplicates and every monomial that is a multiple of another one."""
-    masks = {u.mask for u in raw}
+    """Drop duplicates and every monomial that is a multiple of another one.
+
+    Masks are visited by degree; each is kept unless a kept mask of strictly
+    lower degree divides it (a discarded divisor has a kept divisor of its own).
+    """
+    masks = sorted({u.mask for u in raw}, key=lambda m: (m.bit_count(), m))
     if not masks:
         raise ContractViolation("cannot build an ideal from no monomials")
-    keep = [
-        m for m in masks if not any(o != m and o & m == o for o in masks)
-    ]
-    return MonomialIdeal(n, [Monomial(m) for m in keep])
+    below: list[int] = []  # kept masks of lower degree
+    level: list[int] = []  # kept masks of the current degree
+    degree = None
+    for m in masks:
+        d = m.bit_count()
+        if d != degree:
+            degree = d
+            below += level
+            level = []
+        for k in below:
+            if k & m == k:
+                break
+        else:
+            level.append(m)
+    return MonomialIdeal(n, [Monomial(m) for m in below + level])
 
 
 def component_masks(gen_masks: Iterable[int], n: int, t: int) -> list[int]:
     """Masks of the degree-t multiples of any of the generator masks, ascending."""
     gm = list(gen_masks)
-    return [m for m in iter_degree_masks(n, t) if any(g & m == g for g in gm)]
+    out = []
+    for m in iter_degree_masks(n, t):
+        for g in gm:
+            if g & m == g:
+                out.append(m)
+                break
+    return out
 
 
 def graded_component(I: MonomialIdeal, t: int) -> set[Monomial]:

@@ -32,7 +32,9 @@ class Monomial(NamedTuple):
     def from_indices(cls, indices: Iterable[int]) -> "Monomial":
         mask = 0
         for i in indices:
-            if not isinstance(i, int) or not 1 <= i <= MAX_VARIABLES:
+            # bool is an int subclass, but JSON true is not an index
+            valid = isinstance(i, int) and not isinstance(i, bool)
+            if not valid or not 1 <= i <= MAX_VARIABLES:
                 raise ContractViolation(f"variable index out of range: {i!r}")
             bit = 1 << (i - 1)
             if mask & bit:

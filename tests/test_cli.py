@@ -169,6 +169,32 @@ def test_enumerate_sets_need_degree(capsys):
     assert "--d" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "70", "--d", "1"],
+        ["--n", "0", "--d", "1"],
+        ["--n", "70", "--ideals"],
+        ["--n", "4", "--d", "0"],
+        ["--n", "4", "--d", "5"],
+        ["--n", "4", "--d", "5", "--ideals"],
+    ],
+)
+def test_enumerate_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+
+
+def test_json_boolean_index_is_usage_error(capsys, tmp_path):
+    path = write_ideal(tmp_path, "bool.json", {"n": 3, "generators": [[True, 2]]})
+    code, out, err = run(capsys, "colex", "--input", path)
+    assert code == 2
+    assert out == ""
+    assert err
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

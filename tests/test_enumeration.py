@@ -7,6 +7,8 @@ walk over all proper monomial ideals (ideals) at small sizes, then frozen.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excolex.enumeration import (
     enumerate_strongly_stable_ideals,
@@ -18,7 +20,12 @@ from excolex.ideals import (
     degree_profile,
     is_strongly_stable_ideal,
 )
-from excolex.monomials import Monomial, is_strongly_stable, iter_degree_masks
+from excolex.monomials import (
+    Monomial,
+    borel_reductions,
+    is_strongly_stable,
+    iter_degree_masks,
+)
 
 M = Monomial.from_text
 
@@ -151,3 +158,55 @@ def test_max_extra_caps_new_generators():
         profile = degree_profile(I)
         if len(profile) == 2:
             assert profile[1][1] <= 1
+
+
+def recursive_down_sets(n, d, base=(), max_extra=None):
+    """Reference: the recursive exclude-first walk, every leaf in order."""
+    base_masks = {u.mask for u in base}
+    elems = [m for m in iter_degree_masks(n, d) if m not in base_masks]
+    out = []
+
+    def walk(idx, chosen):
+        if idx == len(elems):
+            out.append(tuple(Monomial(m) for m in sorted(base_masks | set(chosen))))
+            return
+        walk(idx + 1, chosen)
+        if max_extra is not None and len(chosen) >= max_extra:
+            return
+        mask = elems[idx]
+        preds = [v.mask for v in borel_reductions(Monomial(mask))]
+        if all(p in base_masks or p in chosen for p in preds):
+            walk(idx + 1, chosen + [mask])
+
+    walk(0, [])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sets_stream_matches_recursive_walk(n):
+    for d in range(1, n + 1):
+        expected = recursive_down_sets(n, d)[1:]  # the empty leaf comes first
+        assert list(enumerate_strongly_stable_sets(n, d)) == expected
+
+
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 10**6))
+    ),
+    st.one_of(st.none(), st.integers(0, 4)),
+)
+@settings(max_examples=60, deadline=None)
+def test_supersets_stream_matches_recursive_walk(case, max_extra):
+    n, d, pick = case
+    sets = [()] + list(enumerate_strongly_stable_sets(n, d))
+    base = sets[pick % len(sets)]
+    expected = recursive_down_sets(n, d, base, max_extra)
+    got = list(enumerate_strongly_stable_supersets(n, d, base, max_extra=max_extra))
+    assert got == expected
+
+
+def test_walk_is_not_bounded_by_the_recursion_limit():
+    # C(13, 5) = 1287 candidates; a recursive walk overflows the stack here
+    first = list(itertools.islice(enumerate_strongly_stable_sets(13, 5), 3))
+    assert len(first) == 3
+    assert all(is_strongly_stable(set(s)) for s in first)

@@ -1,10 +1,13 @@
 """Ideal layer: minimal generators, graded components, stability, profiles."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excolex.errors import ContractViolation
 from excolex.ideals import (
     MonomialIdeal,
+    component_masks,
     degree_profile,
     graded_component,
     is_strongly_stable_ideal,
@@ -155,3 +158,73 @@ def test_reembed():
     assert I.reembed(7).gens == I.gens
     with pytest.raises(ContractViolation):
         I.reembed(3)
+
+
+def test_from_dict_rejects_json_booleans():
+    with pytest.raises(ContractViolation):
+        MonomialIdeal.from_dict({"n": 3, "generators": [[True, 2]]})
+    with pytest.raises(ContractViolation):
+        MonomialIdeal.from_dict({"n": True, "generators": [[1]]})
+
+
+# --- the mask-level fast paths against brute force ---------------------------
+
+# random generator masks over e_1..e_7 (the unit excluded), with the ambient
+mask_lists = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8),
+    )
+)
+
+
+def first_divisibility_reference(gens):
+    """The first (u, v) of the all-pairs scan over the sorted generators."""
+    for u in gens:
+        for v in gens:
+            if u.mask != v.mask and u.divides(v):
+                return u, v
+    return None
+
+
+@given(mask_lists, st.integers(0, 7))
+@settings(max_examples=200)
+def test_component_masks_is_the_superset_filter(case, t):
+    n, masks = case
+    t = min(t, n)
+    expected = [
+        m for m in iter_degree_masks(n, t) if any(g & m == g for g in masks)
+    ]
+    assert component_masks(masks, n, t) == expected
+
+
+@given(mask_lists, st.integers(0, 127))
+@settings(max_examples=200)
+def test_contains_is_any_generator_dividing(case, probe):
+    n, masks = case
+    I = minimalize(n, [Monomial(m) for m in masks])
+    mono = Monomial(probe & ((1 << n) - 1))
+    assert I.contains(mono) == any(g.divides(mono) for g in I.gens)
+
+
+@given(mask_lists)
+@settings(max_examples=300)
+def test_constructor_rejects_exactly_the_non_minimal_sets(case):
+    n, masks = case
+    raw = [Monomial(m) for m in dict.fromkeys(masks)]  # distinct, unsorted
+    gens = sorted(raw, key=lambda u: (u.degree, u.mask))
+    pair = first_divisibility_reference(gens)
+    if pair is None:
+        assert MonomialIdeal(n, raw).gens == tuple(gens)
+    else:
+        with pytest.raises(ContractViolation) as exc:
+            MonomialIdeal(n, raw)
+        assert str(exc.value) == f"{pair[0]} divides {pair[1]}; generators are not minimal"
+
+
+@given(mask_lists)
+@settings(max_examples=200)
+def test_minimalize_keeps_exactly_the_minimal_masks(case):
+    n, masks = case
+    expected = {m for m in masks if not any(o != m and o & m == o for o in masks)}
+    assert {u.mask for u in minimalize(n, [Monomial(m) for m in masks]).gens} == expected

@@ -85,6 +85,8 @@ def test_from_indices_sorts_and_validates():
         Monomial.from_indices([2, 2])
     with pytest.raises(ContractViolation):
         Monomial.from_indices([0])
+    with pytest.raises(ContractViolation):
+        Monomial.from_indices([True, 2])  # JSON true is not the index 1
 
 
 def test_text_round_trip():
