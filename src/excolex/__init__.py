@@ -31,6 +31,7 @@ from .colex import (
     segment_shadow_conditions,
 )
 from .enumeration import (
+    enumerate_proper_ideals,
     enumerate_strongly_stable_ideals,
     enumerate_strongly_stable_sets,
     enumerate_strongly_stable_supersets,

@@ -15,14 +15,16 @@ Two ways to take ranks of the differentials, both exact by default:
 * "direct": assemble one sparse +/-1 matrix per (homological, internal)
   degree cell and eliminate it whole. Slower, kept as the cross-check path.
 
-Exact ranks are fraction-free eliminations over the integers; an opt-in prime
-field replaces them with modular arithmetic.
+Both take ranks with one sparse elimination that never divides, so the same
+loop is exact over the rationals by default and works mod p for an opt-in
+prime field.
 """
 
 from __future__ import annotations
 
-from math import comb
-from typing import Callable, Iterator, NamedTuple
+from functools import lru_cache
+from math import comb, gcd, isqrt
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .betti import SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from .errors import ContractViolation, OracleTooLarge
@@ -105,69 +107,59 @@ def differential(
     return out
 
 
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free elimination.
+@lru_cache(maxsize=None, typed=True)  # a rejected p raises, so is never cached
+def _require_prime(p: int) -> None:
+    """Reject a field size that is not a prime below 2**31 (trial division)."""
+    small = type(p) is int and 2 <= p < 2**31  # bool and float are not field sizes
+    if not (small and all(p % k for k in range(2, isqrt(p) + 1))):
+        raise ContractViolation(f"field size must be a prime below 2**31, got {p!r}")
 
-    One-step Bareiss updates keep everything integral; the pivot of smallest
-    magnitude is taken to slow coefficient growth.
+
+def _rank(rows: Iterable[list[int] | dict[int, int]], p: int | None) -> int:
+    """Rank over GF(p), or over the rationals when p is None, of dense integer
+    rows or {column: value} rows, by sparse elimination.
+
+    Pivots are stored by leading column. A row whose leading column already
+    has a pivot q becomes a*r - b*q, where a and b are the leading entries of
+    q and r, so no inverse is ever taken and one loop serves both fields.
+    Over the rationals a row is divided by its content after each step with a
+    pivot other than +/-1, which keeps the integers small.
     """
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            v = mat[r][col]
-            if v and (piv is None or abs(v) < abs(mat[piv][col])):
-                piv = r
-        if piv is None:
-            continue
-        if piv != rank:
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot_row = mat[rank]
-        pv = pivot_row[col]
-        for r in range(rank + 1, nrows):
-            row = mat[r]
-            rv = row[col]
-            for c in range(col + 1, ncols):
-                row[c] = (row[c] * pv - rv * pivot_row[c]) // prev
-            row[col] = 0
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = row if isinstance(row, dict) else dict(enumerate(row))  # read, not mutated
+        a = 1  # leading entry of the last pivot row used
+        while True:
+            if p is not None:
+                r = {c: w for c, v in r.items() if (w := v % p)}
+            else:
+                r = {c: v for c, v in r.items() if v}
+                if a not in (1, -1):
+                    content = gcd(*r.values())
+                    r = {c: v // content for c, v in r.items()}
+            if not r:
+                break
+            lead = min(r)
+            q = pivots.get(lead)
+            if q is None:
+                pivots[lead] = r
+                break
+            a, b = q[lead], r[lead]
+            r = {c: a * v for c, v in r.items()}
+            for c, v in q.items():
+                r[c] = r.get(c, 0) - b * v
+    return len(pivots)
 
 
-def rank_mod_p(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
-    """Rank over the field with p elements."""
-    if p < 2:
-        raise ContractViolation(f"field size must be at least 2, got {p}")
-    mat = [[v % p for v in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot_row = mat[rank]
-        inv = pow(pivot_row[col], -1, p)
-        for r in range(rank + 1, nrows):
-            row = mat[r]
-            if not row[col]:
-                continue
-            factor = row[col] * inv % p
-            for c in range(col, ncols):
-                row[c] = (row[c] - factor * pivot_row[c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def exact_rank(rows: Iterable) -> int:
+    """Rank over the rationals of an integer matrix."""
+    return _rank(rows, None)
+
+
+def rank_mod_p(rows: Iterable, p: int = DEFAULT_PRIME) -> int:
+    """Rank over the field with p elements; p must be a prime below 2**31."""
+    _require_prime(p)
+    return _rank(rows, p)
 
 
 class CartanTables(NamedTuple):
@@ -199,7 +191,7 @@ def _guard_dimensions(
 
 
 def _strand_homology(
-    gen_masks: list[int], support: int, rank_fn: Callable[[list[list[int]]], int]
+    gen_masks: list[int], support: int, rank_fn: Callable[[list[dict]], int]
 ) -> dict[int, int]:
     """Homology dimensions, by subset size, of the non-ideal subsets of one support.
 
@@ -222,17 +214,18 @@ def _strand_homology(
         src, dst = levels[d], levels[d + 1]
         if not src or not dst:
             continue
-        position = {mask: r for r, mask in enumerate(dst)}
-        rows = [[0] * len(src) for _ in dst]
-        for cidx, sigma in enumerate(src):
+        position = {mask: c for c, mask in enumerate(dst)}
+        rows = []  # one row per source subset: its boundary
+        for sigma in src:
+            row = {}
             free = support & ~sigma
             while free:
                 bit = free & -free
                 free ^= bit
-                r = position.get(sigma | bit)
-                if r is not None:
-                    sign = -1 if (sigma & (bit - 1)).bit_count() & 1 else 1
-                    rows[r][cidx] = sign
+                c = position.get(sigma | bit)
+                if c is not None:
+                    row[c] = -1 if (sigma & (bit - 1)).bit_count() & 1 else 1
+            rows.append(row)
         out_rank[d] = rank_fn(rows)
     homology: dict[int, int] = {}
     for d in range(size + 1):
@@ -289,11 +282,11 @@ def _betti_direct(
             if not src or not dst:
                 ranks[(i, j)] = 0
                 continue
-            position = {elem: r for r, elem in enumerate(dst)}
-            rows = [[0] * len(src) for _ in dst]
-            for cidx, elem in enumerate(src):
-                for sign, target in differential(elem, I):
-                    rows[position[target]][cidx] = sign
+            position = {elem: c for c, elem in enumerate(dst)}
+            rows = [
+                {position[target]: sign for sign, target in differential(elem, I)}
+                for elem in src
+            ]
             ranks[(i, j)] = rank_fn(rows)
     entries: dict[tuple[int, int], int] = {}
     for i in range(i_max + 1):
@@ -320,11 +313,13 @@ def cartan_betti(
 
     ``i_max`` is the cutoff for the quotient table; the ideal table is the
     standard shift (its row i is the quotient's row i+1), so it reaches
-    i_max - 1. Exact rational ranks by default; pass ``prime`` for the modular
-    fast path.
+    i_max - 1. Exact rational ranks by default; pass ``prime`` (a prime below
+    2**31) for the modular fast path.
     """
     if i_max < 1:
         raise ContractViolation("need i_max >= 1 to report the shifted table")
+    if prime is not None:
+        _require_prime(prime)
     if j_max is None:
         j_max = I.n + i_max
     rank_fn = exact_rank if prime is None else (lambda rows: rank_mod_p(rows, prime))

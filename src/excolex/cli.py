@@ -30,7 +30,7 @@ def _read_ideal(path: str, allow_text: bool) -> MonomialIdeal:
     if path == "-":
         data = json.load(sys.stdin)
     else:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     return MonomialIdeal.from_dict(data, allow_text=allow_text)
 
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     except (AmbientCapExceeded, OracleTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,13 +7,17 @@ element only once all its one-move reductions are in produces every down-set
 exactly once, with no post-filtering. The scan keeps its decisions on an
 explicit stack rather than recursing, so the number of candidate monomials is
 not bounded by the interpreter's recursion limit.
+
+The same walk, with facets in place of the moves, streams every proper nonzero
+monomial ideal: the monomials outside such an ideal form a down-set of the
+subset order that contains 1 and is not everything.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .ideals import MonomialIdeal, component_masks
+from .ideals import MonomialIdeal, component_masks, minimalize
 from .monomials import Monomial, borel_reductions, iter_degree_masks
 
 
@@ -21,21 +25,28 @@ def _reduction_masks(mask: int) -> tuple[int, ...]:
     return tuple(v.mask for v in borel_reductions(Monomial(mask)))
 
 
-def _down_sets(
-    elems: list[int], given: set[int], cap: int | None
-) -> Iterator[list[Monomial]]:
-    """Every down-closed choice from ``elems`` (ascending masks), exclude first.
+def _facet_masks(mask: int) -> tuple[int, ...]:
+    return tuple(mask ^ (1 << k) for k in range(mask.bit_length()) if mask >> k & 1)
 
-    A reduction in ``given`` counts as already chosen. Each choice is yielded
-    as the live stack of chosen monomials in ascending order, which the caller
-    must copy before resuming. This is the depth-first order of the binary
-    walk that at each element first skips it and then, when its reductions are
-    all in and fewer than ``cap`` elements are chosen, takes it.
+
+def _down_sets(
+    elems: list[int], preds: Callable[[int], Iterable[int]],
+    given: set[int], cap: int | None,
+) -> Iterator[list[Monomial]]:
+    """Every down-closed choice from ``elems``, exclude first.
+
+    ``elems`` lists each mask after its predecessors ``preds(mask)``, except
+    those in ``given``, which count as already chosen. Each
+    choice is yielded as the live stack of chosen monomials in ``elems`` order,
+    which the caller must copy before resuming. This is the depth-first order
+    of the binary walk that at each element first skips it and then, when its
+    predecessors are all in and fewer than ``cap`` elements are chosen, takes
+    it.
     """
     where = {m: i for i, m in enumerate(elems)}
-    # needs[i]: bit j set when elems[j] is a reduction of elems[i] (so j < i)
+    # needs[i]: bit j set when elems[j] is a predecessor of elems[i] (so j < i)
     needs = [
-        sum(1 << where[r] for r in _reduction_masks(m) if r not in given)
+        sum(1 << where[r] for r in preds(m) if r not in given)
         for m in elems
     ]
     monos = [Monomial(m) for m in elems]
@@ -68,7 +79,7 @@ def enumerate_strongly_stable_sets(n: int, d: int) -> Iterator[tuple[Monomial, .
     Yields tuples sorted in decreasing revlex order; the stream order is
     deterministic.
     """
-    walk = _down_sets(list(iter_degree_masks(n, d)), set(), None)
+    walk = _down_sets(list(iter_degree_masks(n, d)), _reduction_masks, set(), None)
     next(walk)  # the empty set comes first
     for chosen in walk:
         yield tuple(chosen)
@@ -88,7 +99,7 @@ def enumerate_strongly_stable_supersets(
     base_masks = {u.mask for u in base}
     elems = [m for m in iter_degree_masks(n, d) if m not in base_masks]
     base_monos = [Monomial(m) for m in base_masks]
-    for chosen in _down_sets(elems, base_masks, max_extra):
+    for chosen in _down_sets(elems, _reduction_masks, base_masks, max_extra):
         yield tuple(sorted(base_monos + chosen))
 
 
@@ -136,3 +147,12 @@ def enumerate_strongly_stable_ideals(
                 if not extra:
                     continue
                 yield MonomialIdeal(n, list(mset) + extra)
+
+
+def enumerate_proper_ideals(n: int) -> Iterator[MonomialIdeal]:
+    """Every proper nonzero monomial ideal over e_1..e_n, once each, in a fixed order."""
+    elems = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+    for outside in _down_sets(elems, _facet_masks, {0}, None):
+        if len(outside) < len(elems):
+            skip = {u.mask for u in outside}
+            yield minimalize(n, [Monomial(m) for m in elems if m not in skip])

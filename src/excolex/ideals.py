@@ -83,10 +83,6 @@ class MonomialIdeal:
     def indeg(self) -> int:
         return self.gens[0].degree
 
-    @property
-    def max_degree(self) -> int:
-        return self.gens[-1].degree
-
     def gens_of_degree(self, d: int) -> tuple[Monomial, ...]:
         return tuple(u for u in self.gens if u.degree == d)
 
@@ -117,6 +113,8 @@ class MonomialIdeal:
             ) from None
         if not isinstance(n, int) or isinstance(n, bool):
             raise ContractViolation(f"ambient size must be an integer, got {n!r}")
+        if not isinstance(raw, list):
+            raise ContractViolation(f"generators must be a list, got {raw!r}")
         gens = [parse_monomial(entry, allow_text=allow_text) for entry in raw]
         return minimalize(n, gens)
 

@@ -96,11 +96,6 @@ class Monomial(NamedTuple):
             raise ContractViolation(f"index {index} already present in {self}")
         return Monomial(self.mask | 1 << (index - 1))
 
-    def without_index(self, index: int) -> "Monomial":
-        if not self.contains(index):
-            raise ContractViolation(f"index {index} not present in {self}")
-        return Monomial(self.mask & ~(1 << (index - 1)))
-
     def text(self) -> str:
         if not self.mask:
             return "1"
@@ -202,18 +197,7 @@ def shadow(monos: Iterable[Monomial], n: int) -> set[Monomial]:
     Signs are irrelevant at support level; duplicates collapse. The top degree
     d = n shadows to the empty set.
     """
-    monos = list(monos)
-    require_ambient(monos, n)
-    common_degree(monos)
-    full = (1 << n) - 1
-    out = set()
-    for u in monos:
-        free = full & ~u.mask
-        while free:
-            bit = free & -free
-            out.add(Monomial(u.mask | bit))
-            free ^= bit
-    return out
+    return partial_shadow(monos, n, n)
 
 
 def partial_shadow(monos: Iterable[Monomial], top: int, n: int) -> set[Monomial]:
@@ -222,10 +206,10 @@ def partial_shadow(monos: Iterable[Monomial], top: int, n: int) -> set[Monomial]
     Empty when every index 1..top already divides every member. Coincides with
     ``shadow`` at top = n.
     """
-    if not 1 <= top <= n:
-        raise ContractViolation(f"multiplier bound {top} outside 1..{n}")
     monos = list(monos)
     require_ambient(monos, n)
+    if not 1 <= top <= n:
+        raise ContractViolation(f"multiplier bound {top} outside 1..{n}")
     common_degree(monos)
     window = (1 << top) - 1
     out = set()
@@ -275,35 +259,27 @@ def borel_reductions(u: Monomial) -> Iterator[Monomial]:
             free_below ^= bit
 
 
-def is_strongly_stable(monos: Iterable[Monomial]) -> bool:
-    """Closed under every index-lowering move; vacuously true for the empty set."""
+def _closed_under_moves(monos: Iterable[Monomial], largest_only: bool) -> bool:
+    """Index-lowering moves (optionally only of the largest index) stay in the set."""
     monos = set(monos)
     common_degree(monos)
     masks = {u.mask for u in monos}
     for u in monos:
         for v in borel_reductions(u):
-            if v.mask not in masks:
+            lowers_largest = v.max_index < u.max_index
+            if (lowers_largest or not largest_only) and v.mask not in masks:
                 return False
     return True
+
+
+def is_strongly_stable(monos: Iterable[Monomial]) -> bool:
+    """Closed under every index-lowering move; vacuously true for the empty set."""
+    return _closed_under_moves(monos, largest_only=False)
 
 
 def is_stable(monos: Iterable[Monomial]) -> bool:
     """Closed under lowering the largest index only."""
-    monos = set(monos)
-    common_degree(monos)
-    masks = {u.mask for u in monos}
-    for u in monos:
-        j = u.max_index
-        if j == 0:
-            continue
-        free_below = ~u.mask & ((1 << (j - 1)) - 1)
-        moved_base = u.mask ^ (1 << (j - 1))
-        while free_below:
-            bit = free_below & -free_below
-            if (moved_base | bit) not in masks:
-                return False
-            free_below ^= bit
-    return True
+    return _closed_under_moves(monos, largest_only=True)
 
 
 def sign_exponent(u: Monomial, j: int) -> int:

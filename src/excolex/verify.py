@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator
 
 from .betti import (
     MODE_EQUAL,
@@ -22,7 +21,7 @@ from .betti import (
     stable_betti_table,
     tables_agree,
 )
-from .cartan import cartan_betti, chain_space, differential
+from .cartan import CartanBasisElement, cartan_betti, chain_space, differential
 from .colex import (
     colex_ideal,
     is_revlex_ideal,
@@ -30,7 +29,11 @@ from .colex import (
     revlex_conditions_two_degrees,
     segment_shadow_conditions,
 )
-from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
+from .enumeration import (
+    enumerate_proper_ideals,
+    enumerate_strongly_stable_ideals,
+    enumerate_strongly_stable_sets,
+)
 from .errors import ContractViolation, HypothesisViolated
 from .ideals import MonomialIdeal, degree_profile, graded_component, minimalize
 from .monomials import (
@@ -79,10 +82,6 @@ class VerificationReport:
             "notes": self.notes,
             "status": self.status,
         }
-
-
-def _gens(I: MonomialIdeal) -> list[str]:
-    return [u.text() for u in I.gens]
 
 
 def verify_green(n_max: int = 5, m_cap: int = 32) -> VerificationReport:
@@ -265,6 +264,10 @@ def verify_bound_tables(i_max: int = 10) -> VerificationReport:
     equalities at i in {0, 1} are recorded as a note (the generator count
     forces equality at i = 0).
     """
+    if i_max < 2:
+        raise ContractViolation(
+            f"example51 needs i_max >= 2 (upper rows are strict from 2), got {i_max}"
+        )
     report = VerificationReport(
         "example51", {"n": 5, "rows": len(BOUND_TABLE_ROWS), "i_max": i_max}, 0
     )
@@ -311,14 +314,6 @@ def verify_bound_tables(i_max: int = 10) -> VerificationReport:
             + ": totals are equal at i in {0,1}; strict inequality starts at i=2"
         )
     return report
-
-
-def _two_degree_universe(
-    n: int, max_extra: int | None
-) -> Iterator[MonomialIdeal]:
-    for I in enumerate_strongly_stable_ideals(n, max_extra=max_extra):
-        if len(degree_profile(I)) == 2:
-            yield I
 
 
 def verify_revlex_characterizations(
@@ -391,7 +386,9 @@ def verify_revlex_characterizations(
     # two-degree condition report, enumerated
     for n in range(5, ideal_n_max + 1):
         max_extra = max_extra_at_top if n == ideal_n_max else None
-        for I in _two_degree_universe(n, max_extra):
+        for I in enumerate_strongly_stable_ideals(n, max_extra=max_extra):
+            if len(degree_profile(I)) != 2:
+                continue
             try:
                 rep = revlex_conditions_two_degrees(I)
             except HypothesisViolated:
@@ -403,25 +400,6 @@ def verify_revlex_characterizations(
                      "report": rep.as_dict()}
                 )
     return report
-
-
-def _all_proper_ideals(n: int) -> list[MonomialIdeal]:
-    """Every proper nonzero monomial ideal over e_1..e_n, by antichain walk."""
-    masks = [m for d in range(1, n + 1) for m in iter_degree_masks(n, d)]
-    out: list[MonomialIdeal] = []
-
-    def walk(start: int, chosen: list[int]):
-        if chosen:
-            out.append(MonomialIdeal(n, [Monomial(m) for m in chosen]))
-        for k in range(start, len(masks)):
-            m = masks[k]
-            if all(not (c & m == c or m & c == m) for c in chosen):
-                chosen.append(m)
-                walk(k + 1, chosen)
-                chosen.pop()
-
-    walk(0, [])
-    return out
 
 
 def _seeded_ideals(n: int, count: int, seed: int = 20240501) -> list[MonomialIdeal]:
@@ -439,6 +417,20 @@ def _seeded_ideals(n: int, count: int, seed: int = 20240501) -> list[MonomialIde
             seen.add(key)
             out.append(I)
     return out
+
+
+def _boundary_squared_witness(I: MonomialIdeal, i_max: int) -> CartanBasisElement | None:
+    """The first element of homological degree 2..i_max with d(d(elem)) != 0, or None."""
+    for i in range(2, i_max + 1):
+        for j in range(I.n + i + 1):
+            for elem in chain_space(I, i, j):
+                acc: dict = {}
+                for s1, mid in differential(elem, I):
+                    for s2, end in differential(mid, I):
+                        acc[end] = acc.get(end, 0) + s1 * s2
+                if any(acc.values()):
+                    return elem
+    return None
 
 
 def verify_oracle_agreement(
@@ -483,7 +475,7 @@ def verify_oracle_agreement(
                 )
     beta1_pool: list[MonomialIdeal] = []
     for n in range(1, 5):
-        beta1_pool.extend(_all_proper_ideals(n))
+        beta1_pool.extend(enumerate_proper_ideals(n))
     exhaustive = len(beta1_pool)
     if exhaustive < beta1_target:
         beta1_pool.extend(_seeded_ideals(5, beta1_target - exhaustive))
@@ -506,49 +498,42 @@ def verify_oracle_agreement(
         f"plus {len(beta1_pool) - exhaustive} seeded at n = 5"
     )
     for n in range(1, 5):
-        for I in _all_proper_ideals(n):
+        for I in enumerate_proper_ideals(n):
             report.instances += 1
-            broken = False
-            for i in range(2, dd_i_max + 1):
-                for j in range(n + i + 1):
-                    for elem in chain_space(I, i, j):
-                        acc: dict = {}
-                        for s1, mid in differential(elem, I):
-                            for s2, end in differential(mid, I):
-                                acc[end] = acc.get(end, 0) + s1 * s2
-                        if any(acc.values()):
-                            broken = True
-                            report.failures.append(
-                                {
-                                    "case": "boundary squared",
-                                    "ideal": I.as_dict(),
-                                    "element": [elem.mono.text(), list(elem.powers)],
-                                }
-                            )
-                            break
-                    if broken:
-                        break
-                if broken:
-                    break
+            elem = _boundary_squared_witness(I, dd_i_max)
+            if elem is not None:
+                report.failures.append(
+                    {
+                        "case": "boundary squared",
+                        "ideal": I.as_dict(),
+                        "element": [elem.mono.text(), list(elem.powers)],
+                    }
+                )
     return report
 
 
+def _given(bound: int | None, default: int) -> int:
+    return default if bound is None else bound
+
+
 def run_claim(claim: str, n_max: int | None = None, i_max: int | None = None) -> VerificationReport:
-    """Dispatch a named campaign with its standard bounds unless overridden."""
+    """Dispatch a named campaign; a bound left as None takes its standard value."""
+    if (n_max is not None and n_max < 1) or (i_max is not None and i_max < 0):
+        raise ContractViolation(f"need n_max >= 1 and i_max >= 0, got {n_max}, {i_max}")
     if claim == "green":
-        return verify_green(n_max or 5)
+        return verify_green(_given(n_max, 5))
     if claim == "colex-bound":
-        return verify_colex_lower_bound(n_max or 6, i_max or 8)
+        return verify_colex_lower_bound(_given(n_max, 6), _given(i_max, 8))
     if claim == "prop42":
-        return verify_shadow_counting(n_max or 6, min(n_max or 5, 5))
+        return verify_shadow_counting(_given(n_max, 6), min(_given(n_max, 5), 5))
     if claim == "lemma41":
-        return verify_minimal_shadow_membership(n_max or 6)
+        return verify_minimal_shadow_membership(_given(n_max, 6))
     if claim == "example51":
-        return verify_bound_tables(i_max or 10)
+        return verify_bound_tables(_given(i_max, 10))
     if claim == "section6":
         return verify_revlex_characterizations(
-            segment_n_max=n_max or 8, ideal_n_max=min(n_max or 7, 7)
+            segment_n_max=_given(n_max, 8), ideal_n_max=min(_given(n_max, 7), 7)
         )
     if claim == "oracle-agreement":
-        return verify_oracle_agreement(n_max or 5, i_max or 4)
+        return verify_oracle_agreement(_given(n_max, 5), _given(i_max, 4))
     raise ContractViolation(f"unknown claim {claim!r}; choose from {', '.join(CLAIMS)}")

@@ -5,6 +5,7 @@ full, comparisons are exact integer equalities, and runtime ceilings are
 asserted against the wall clock. Run with -s to watch the lines stream.
 """
 
+import hashlib
 import json
 import time
 
@@ -28,6 +29,24 @@ M = Monomial.from_text
 
 def ideal(n, *texts):
     return minimalize(n, [M(t) for t in texts])
+
+
+# SHA-256 of json.dumps(report.as_dict(), sort_keys=True) for each campaign
+# at its default bounds: a change that moves any report byte fails here.
+REPORT_SHA256 = {
+    "green": "1c8a504746ca7c5b3916d481be1bd5de73e3029aa8312a61fa5197efc93a5c68",
+    "colex-bound": "0ec8b28ff5ec578345a0ded009131e02ec4155a8e0273ae2faeb1dd3aea119ba",
+    "prop42": "65bf7bbb51955c9f5d5f48ac666c6734ccd8400b7c94d5738be34a13e2d5e5e8",
+    "lemma41": "7f37474b9f86bac188ada1638de80407f7296bd84b70f1f57cb99c2372a2d7fc",
+    "example51": "0020b3f13264c3641ba1f748bd78823ad9d25ec1262afdc4853036f7048ea067",
+    "section6": "655e4ed3382ad94955678a5fe6e93a727f420d6c9653aaa5a1a5c5e16fcee622",
+    "oracle-agreement": "c465220b570c1598bfdb7a3487ccbedbac5444578b88b8045e6f13f4ad2ac0fe",
+}
+
+
+def assert_same_bytes(rep):
+    text = json.dumps(rep.as_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[rep.claim]
 
 
 def report(number, name, ok, detail=""):
@@ -89,6 +108,7 @@ def test_criterion_2_bound_tables(capsys):
         report(2, "eleven curated pairs, both bound directions", ok,
                f"{rep.instances} rows, {elapsed:.2f}s")
     assert ok, rep.as_dict()
+    assert_same_bytes(rep)
 
 
 def test_criterion_3_single_degree_lower_bound(capsys):
@@ -100,6 +120,7 @@ def test_criterion_3_single_degree_lower_bound(capsys):
         report(3, "single-degree lower bound, exhaustive n<=6, i<=8", ok,
                f"{rep.instances} ideals, {elapsed:.2f}s")
     assert ok, rep.as_dict()
+    assert_same_bytes(rep)
 
 
 def test_criterion_4_green_inequality(capsys):
@@ -111,6 +132,7 @@ def test_criterion_4_green_inequality(capsys):
         report(4, "componentwise count inequality, exhaustive n<=5", ok,
                f"{rep.instances} ideals, {elapsed:.2f}s")
     assert ok, rep.as_dict()
+    assert_same_bytes(rep)
 
 
 def test_criterion_5_shadow_property_suites(capsys):
@@ -123,6 +145,8 @@ def test_criterion_5_shadow_property_suites(capsys):
         report(5, "shadow counting and least-member membership, n<=6", ok,
                f"{counting.instances}+{membership.instances} instances, {elapsed:.2f}s")
     assert ok, (counting.as_dict(), membership.as_dict())
+    assert_same_bytes(counting)
+    assert_same_bytes(membership)
 
 
 def test_criterion_6_oracle_equivalence(capsys):
@@ -135,6 +159,7 @@ def test_criterion_6_oracle_equivalence(capsys):
         report(6, "homology oracle equals closed form (n<=5, i<=4)", ok,
                f"{rep.instances} instances, {elapsed:.2f}s; {beta1_note}")
     assert ok, rep.as_dict()
+    assert_same_bytes(rep)
 
 
 def test_criterion_7_revlex_characterizations(capsys):
@@ -148,6 +173,7 @@ def test_criterion_7_revlex_characterizations(capsys):
         report(7, "revlex characterizations (segments n<=8, ideals n<=7)", ok,
                f"{rep.instances} instances, {elapsed:.2f}s")
     assert ok, rep.as_dict()
+    assert_same_bytes(rep)
 
 
 def test_criterion_8_ambient_stability(capsys):

@@ -162,19 +162,26 @@ def test_rank_mod_p_drops_multiples_of_p():
     assert exact_rank(rows) == 2
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=3, max_size=5
+def matrices(bound, rows, cols):
+    """Integer matrices with entries in [-bound, bound] and the given shape ranges."""
+    return st.integers(*cols).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+            min_size=rows[0],
+            max_size=rows[1],
+        )
     )
-)
-@settings(max_examples=50)
+
+
+@given(st.one_of(matrices(3, (3, 5), (4, 4)), matrices(50, (1, 6), (1, 6))))
+@settings(max_examples=150)
 def test_exact_rank_against_fractions(rows):
     from fractions import Fraction
 
     def fraction_rank(mat):
         mat = [[Fraction(v) for v in row] for row in mat]
         rank = 0
-        for col in range(4):
+        for col in range(len(mat[0])):
             piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
             if piv is None:
                 continue
@@ -187,6 +194,48 @@ def test_exact_rank_against_fractions(rows):
         return rank
 
     assert exact_rank(rows) == fraction_rank(rows)
+
+
+@given(
+    st.one_of(matrices(3, (1, 6), (1, 6)), matrices(10**6, (1, 6), (1, 6))),
+    st.sampled_from([2, 3, 7, 32003]),
+)
+@settings(max_examples=150)
+def test_rank_mod_p_against_dense_reference(rows, p):
+    def dense_rank(mat):
+        mat = [[v % p for v in row] for row in mat]
+        rank = 0
+        for col in range(len(mat[0])):
+            piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+            if piv is None:
+                continue
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+            inv = pow(mat[rank][col], -1, p)
+            for r in range(rank + 1, len(mat)):
+                f = mat[r][col] * inv % p
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+            rank += 1
+        return rank
+
+    assert rank_mod_p(rows, p) == dense_rank(rows)
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    assert rank_mod_p(sparse, p) == dense_rank(rows)
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -7, 32001, 2**31, 2**31 + 11, True, 3.0])
+def test_field_size_must_be_a_small_prime(p):
+    with pytest.raises(ContractViolation):
+        rank_mod_p([[2, 1], [1, 2]], p)
+    # refused before any work, even where the guard would refuse the cells
+    with pytest.raises(ContractViolation):
+        cartan_betti(ideal(6, "e1e2e3e4e5e6"), 6, prime=p, max_cell_dim=100)
+
+
+def test_largest_allowed_field():
+    assert rank_mod_p([[2, 1], [1, 2]], 2**31 - 1) == 2
+    assert rank_mod_p([[2, 1], [1, 2]], 3) == 1
+    with pytest.raises(ContractViolation):  # equal to an accepted prime, not an int
+        rank_mod_p([[2, 1], [1, 2]], 3.0)
 
 
 # --- Betti tables ------------------------------------------------------------------

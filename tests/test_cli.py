@@ -214,6 +214,34 @@ def test_malformed_json_is_usage_error(capsys, tmp_path):
     assert err
 
 
+def test_generators_not_a_list_is_usage_error(capsys, tmp_path):
+    path = write_ideal(tmp_path, "scalar.json", {"n": 3, "generators": 5})
+    code, out, err = run(capsys, "colex", "--input", path)
+    assert code == 2
+    assert not out and err
+
+
+def test_undecodable_input_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"n": 3, "generators": [[1, 2]], "note": "\xff"}')
+    code, out, err = run(capsys, "colex", "--input", str(path))
+    assert code == 2
+    assert not out and err
+
+
+def test_composite_field_is_usage_error(capsys, ex_small):
+    code, out, err = run(capsys, "betti", "--input", ex_small, "--oracle", "--field", "4")
+    assert code == 2
+    assert not out and "prime" in err
+
+
+@pytest.mark.parametrize("bound", [["--n-max", "0"], ["--n-max", "-1"], ["--i-max", "-1"]])
+def test_verify_bounds_out_of_range_are_usage_errors(capsys, bound):
+    code, out, err = run(capsys, "verify", "--claim", "lemma41", *bound)
+    assert code == 2
+    assert not out and err
+
+
 def test_unknown_claim_is_argparse_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--claim", "made-up"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excolex.enumeration import (
+    enumerate_proper_ideals,
     enumerate_strongly_stable_ideals,
     enumerate_strongly_stable_sets,
     enumerate_strongly_stable_supersets,
@@ -113,6 +114,13 @@ def test_ideals_match_antichain_filter(n):
     enumerated = [I.gens for I in enumerate_strongly_stable_ideals(n)]
     assert len(enumerated) == len(set(enumerated))
     assert set(enumerated) == expected
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 18), (4, 166)])
+def test_proper_ideals_match_antichain_walk(n, count):
+    enumerated = [I.gens for I in enumerate_proper_ideals(n)]
+    assert len(enumerated) == len(set(enumerated)) == count
+    assert set(enumerated) == {I.gens for I in all_proper_ideals(n)}
 
 
 def test_ideal_counts_frozen():

@@ -160,6 +160,12 @@ def test_reembed():
         I.reembed(3)
 
 
+def test_from_dict_requires_a_generator_list():
+    for raw in (5, "e1e2", {"e1": 1}, None):
+        with pytest.raises(ContractViolation):
+            MonomialIdeal.from_dict({"n": 3, "generators": raw})
+
+
 def test_from_dict_rejects_json_booleans():
     with pytest.raises(ContractViolation):
         MonomialIdeal.from_dict({"n": 3, "generators": [[True, 2]]})

@@ -258,6 +258,43 @@ def test_stable_vs_strongly_stable():
     assert is_strongly_stable(mset("e1e2", "e1e3", "e2e3", "e1e4", "e2e4"))
 
 
+def stable_by_definition(monos):
+    """u / e_m * e_i lies in the set for every member u with largest index m
+    and every i < m not dividing u."""
+    for u in monos:
+        m = max(u.indices, default=0)
+        for i in range(1, m):
+            if i not in u.indices:
+                moved = [k for k in u.indices if k != m] + [i]
+                if Monomial.from_indices(moved) not in monos:
+                    return False
+    return True
+
+
+def stable_closure(monos):
+    out = set(monos)
+    frontier = list(monos)
+    while frontier:
+        u = frontier.pop()
+        for v in borel_reductions(u):
+            if v.max_index < u.max_index and v not in out:
+                out.add(v)
+                frontier.append(v)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_is_stable_matches_definition(data):
+    n = data.draw(st.integers(1, 6))
+    d = data.draw(st.integers(0, n))
+    monos = data.draw(st.sets(st.sampled_from(monomials_of_degree(n, d))))
+    assert is_stable(monos) == stable_by_definition(monos)
+    closed = stable_closure(monos)
+    assert stable_by_definition(closed)
+    assert is_stable(closed)
+
+
 def test_mixed_degrees_rejected():
     with pytest.raises(ContractViolation):
         is_strongly_stable(mset("e1", "e1e2"))

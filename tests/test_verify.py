@@ -99,3 +99,27 @@ def test_run_claim_bounds_pass_through():
     report = run_claim("lemma41", n_max=3)
     assert report.universe == {"n_max": 3}
     assert report.status == "verified"
+
+
+def test_run_claim_honours_explicit_bounds():
+    assert run_claim("example51", i_max=2).universe["i_max"] == 2
+    assert run_claim("green", n_max=1).universe["n_max"] == 1
+    assert run_claim("colex-bound", n_max=2, i_max=0).universe == {
+        "n_max": 2, "degrees": 1, "i_max": 0,
+    }
+    assert run_claim("prop42", n_max=7).universe["ideal_n_max"] == 5
+    assert run_claim("lemma41").universe == {"n_max": 6}
+
+
+@pytest.mark.parametrize("bounds", [{"n_max": 0}, {"n_max": -1}, {"i_max": -1}])
+def test_run_claim_rejects_bounds_out_of_range(bounds):
+    with pytest.raises(ContractViolation):
+        run_claim("lemma41", **bounds)
+
+
+@pytest.mark.parametrize("i_max", [0, 1])
+def test_bound_tables_refuse_a_window_below_the_strict_range(i_max):
+    # the upper rows are strict only from i = 2, so a smaller window would
+    # report their equal totals as a counterexample
+    with pytest.raises(ContractViolation):
+        run_claim("example51", i_max=i_max)
