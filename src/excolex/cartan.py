@@ -6,18 +6,19 @@ multi-index). The differential sends a unit of divided power x_k to a left
 multiplication by e_k, with sign (-1)^(number of indices below k); a term dies
 when k already divides the monomial or the product lands in the ideal.
 
-Two ways to take ranks of the differentials, both exact by default:
+Two ways to take ranks of the differentials, both by one sparse elimination
+that never divides: exact over the rationals by default, mod p for an opt-in
+prime field.
 
-* "strands": the chain spaces split by multidegree, and each strand is
-  isomorphic to a complex of subsets of the multidegree's support that avoid
-  the ideal. Only the support matters, so 2^n tiny eliminations cover every
-  graded piece. This is the default.
+* "strands" (the default): the chain spaces split by multidegree, and each
+  strand is isomorphic to the complex of subsets of the multidegree's support
+  S that avoid the ideal. Unless S is the union of the generators inside it,
+  a vertex of S lies in none of them, is a cone point (the empty face
+  included) and makes the strand acyclic (Gasharov-Peeva-Welker 1999; in E,
+  Aramova-Avramov-Herzog, Trans. AMS 2000). So one tiny elimination per union
+  of generators (the LCM lattice) covers every graded piece.
 * "direct": assemble one sparse +/-1 matrix per (homological, internal)
   degree cell and eliminate it whole. Slower, kept as the cross-check path.
-
-Both take ranks with one sparse elimination that never divides, so the same
-loop is exact over the rationals by default and works mod p for an opt-in
-prime field.
 """
 
 from __future__ import annotations
@@ -120,34 +121,39 @@ def _rank(rows: Iterable[list[int] | dict[int, int]], p: int | None) -> int:
     rows or {column: value} rows, by sparse elimination.
 
     Pivots are stored by leading column. A row whose leading column already
-    has a pivot q becomes a*r - b*q, where a and b are the leading entries of
-    q and r, so no inverse is ever taken and one loop serves both fields.
-    Over the rationals a row is divided by its content after each step with a
-    pivot other than +/-1, which keeps the integers small.
+    has a pivot q becomes a*r - b*q, or r - a*b*q when a = +/-1, where a and b
+    are the leading entries of q and r: no inverse is taken, and one loop
+    serves both fields. Over the rationals a row is divided by its content
+    after each step with a pivot other than +/-1, to keep the integers small.
     """
     pivots: dict[int, dict[int, int]] = {}
+    minus_one = -1 if p is None else p - 1
     for row in rows:
-        r = row if isinstance(row, dict) else dict(enumerate(row))  # read, not mutated
-        a = 1  # leading entry of the last pivot row used
-        while True:
-            if p is not None:
-                r = {c: w for c, v in r.items() if (w := v % p)}
-            else:
-                r = {c: v for c, v in r.items() if v}
-                if a not in (1, -1):
-                    content = gcd(*r.values())
-                    r = {c: v // content for c, v in r.items()}
-            if not r:
-                break
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {c: w for c, v in items if (w := v if p is None else v % p)}
+        while r:
             lead = min(r)
             q = pivots.get(lead)
             if q is None:
                 pivots[lead] = r
                 break
             a, b = q[lead], r[lead]
-            r = {c: a * v for c, v in r.items()}
-            for c, v in q.items():
-                r[c] = r.get(c, 0) - b * v
+            if a == 1 or a == minus_one:  # a*a == 1: r - (a*b)*q spans the same
+                b *= a
+            else:  # a*v stays nonzero: a is a unit mod p, and nonzero over Z
+                r = {c: a * v if p is None else a * v % p for c, v in r.items()}
+            for c, v in q.items():  # only the columns of q change
+                w = r.get(c, 0) - b * v
+                if p is not None:
+                    w %= p
+                if w:
+                    r[c] = w
+                else:
+                    del r[c]  # b*v is nonzero, so c was in r
+            if p is None and a not in (1, -1):
+                content = gcd(*r.values())  # 0 for an empty row, left as it is
+                if content != 1:
+                    r = {c: v // content for c, v in r.items()}
     return len(pivots)
 
 
@@ -200,15 +206,13 @@ def _strand_homology(
     """
     size = support.bit_count()
     levels: list[list[int]] = [[] for _ in range(size + 1)]
-    sub = support
-    while True:
+    sub = 0
+    while True:  # the subsets of the support in ascending order
         if not any(g & sub == g for g in gen_masks):
             levels[sub.bit_count()].append(sub)
-        if sub == 0:
+        if sub == support:
             break
-        sub = (sub - 1) & support
-    for level in levels:
-        level.sort()
+        sub = (sub - support) & support
     out_rank = [0] * (size + 1)
     for d in range(size):
         src, dst = levels[d], levels[d + 1]
@@ -244,7 +248,10 @@ def _betti_by_strands(
 ) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
     gen_masks = [g.mask for g in I.gens]
-    for support in range(1 << I.n):
+    lattice = {0}  # the unions of generators: every other strand is a cone
+    for g in gen_masks:
+        lattice |= {s | g for s in lattice}
+    for support in sorted(lattice):
         homology = _strand_homology(gen_masks, support, rank_fn)
         if not homology:
             continue

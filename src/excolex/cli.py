@@ -16,7 +16,7 @@ from .cartan import cartan_betti
 from .colex import colex_ideal
 from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
 from .errors import AmbientCapExceeded, ContractViolation, OracleTooLarge
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, is_strongly_stable_ideal
 from .monomials import MAX_VARIABLES
 from .verify import CLAIMS, run_claim
 
@@ -48,7 +48,10 @@ def _cmd_colex(args) -> int:
 
 def _cmd_betti(args) -> int:
     I = _read_ideal(args.input, args.text)
-    table = stable_betti_table(I, args.i_max)
+    if args.oracle and not is_strongly_stable_ideal(I):
+        table = None  # no closed form: the oracle tables stand alone
+    else:
+        table = stable_betti_table(I, args.i_max)
     if not args.oracle:
         _emit(table.as_dict())
         return EXIT_OK
@@ -56,12 +59,12 @@ def _cmd_betti(args) -> int:
     tables = cartan_betti(I, oracle_i + 1, prime=args.field)
     _emit(
         {
-            "formula": table.as_dict(),
+            "formula": table.as_dict() if table else None,
             "oracle": {
                 "ideal": tables.ideal.as_dict(),
                 "quotient": tables.quotient.as_dict(),
             },
-            "agreement": tables_agree(table, tables.ideal, oracle_i),
+            "agreement": tables_agree(table, tables.ideal, oracle_i) if table else None,
             "agreement_i_max": oracle_i,
         }
     )

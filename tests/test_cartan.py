@@ -1,9 +1,14 @@
 """Homology oracle: chain spaces, the boundary map, exact ranks, Betti tables."""
 
+from collections import Counter
+from math import comb
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excolex import cartan
 from excolex.betti import stable_betti_table, tables_agree
 from excolex.cartan import (
     CartanBasisElement,
@@ -312,3 +317,65 @@ def test_oracle_cell_guard():
 def test_oracle_requires_room_for_the_shift():
     with pytest.raises(ContractViolation):
         cartan_betti(ideal(2, "e1e2"), 0)
+
+
+# --- the LCM lattice ---------------------------------------------------------------
+
+@st.composite
+def small_ideals(draw, n_max=6):
+    n = draw(st.integers(1, n_max))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
+    return minimalize(n, [Monomial(m) for m in masks])
+
+
+def unpruned_quotient(I, i_max, prime):
+    """The quotient table summed over all 2^n strands, cones included."""
+    rank_fn = exact_rank if prime is None else (lambda rows: rank_mod_p(rows, prime))
+    gen_masks = [g.mask for g in I.gens]
+    entries = Counter()
+    for support in range(1 << I.n):
+        s = support.bit_count()
+        for d, h in cartan._strand_homology(gen_masks, support, rank_fn).items():
+            for j in range(s, I.n + i_max + 1):
+                weight = comb(j - 1, s - 1) if s else int(j == 0)
+                if 0 <= j - d <= i_max:
+                    entries[(j - d, j)] += weight * h
+    return {k: v for k, v in entries.items() if v}
+
+
+@given(small_ideals(), st.integers(1, 4), st.sampled_from([None, 3]))
+@settings(max_examples=150, deadline=None)
+def test_pruned_strands_match_all_supports(I, i_max, prime):
+    tables = cartan_betti(I, i_max, prime=prime)
+    assert tables.quotient.entries == unpruned_quotient(I, i_max, prime)
+
+
+@given(small_ideals())
+@settings(max_examples=150, deadline=None)
+def test_strands_visit_exactly_the_lcm_lattice(I):
+    visited = []
+    real = cartan._strand_homology
+
+    def spy(gen_masks, support, rank_fn):
+        visited.append(support)
+        return real(gen_masks, support, rank_fn)
+
+    with patch.object(cartan, "_strand_homology", spy):
+        cartan_betti(I, 2)
+    gen_masks = [g.mask for g in I.gens]
+
+    def union_inside(support):
+        out = 0
+        for g in gen_masks:
+            if g & support == g:
+                out |= g
+        return out
+
+    # ascending, each support once, and exactly the unions of generators
+    assert visited == [S for S in range(1 << I.n) if union_inside(S) == S]
+
+
+def test_strands_scale_with_the_lattice_not_with_2_to_the_n():
+    I = ideal(20, "e1e2", "e1e3", "e2e3")  # 2^20 supports, 5 of them in the lattice
+    tables = cartan_betti(I, 6, max_cell_dim=10**12)
+    assert tables.ideal == stable_betti_table(I, 5)

@@ -105,6 +105,22 @@ def test_betti_rejects_non_stable_input(capsys, tmp_path):
     assert "strongly stable" in err
 
 
+def test_betti_oracle_stands_in_for_the_closed_form(capsys, tmp_path):
+    five_cycle = {"n": 5, "generators": [[1, 2], [1, 3], [2, 4], [3, 5], [4, 5]]}
+    path = write_ideal(tmp_path, "cycle.json", five_cycle)
+    code, _, err = run(capsys, "betti", "--input", path)
+    assert code == 2
+    assert "closed form needs a strongly stable ideal" in err
+    code, out, _ = run(capsys, "betti", "--input", path, "--oracle")
+    assert code == 0
+    data = json.loads(out)
+    assert data["formula"] is None
+    assert data["agreement"] is None
+    assert data["agreement_i_max"] == 4
+    totals = [row["total"] for row in data["oracle"]["ideal"]["rows"]]
+    assert totals == [5, 15, 31, 55, 90]  # the colex construction gives 5, 16, 35, 64, 105
+
+
 def test_compare(capsys, tmp_path, ex_small):
     right = write_ideal(
         tmp_path, "right.json", {"n": 5, "generators": [[1, 2], [1, 3, 4], [2, 3, 4]]}
