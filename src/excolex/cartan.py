@@ -61,6 +61,17 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _survivor_masks(I: MonomialIdeal, d: int) -> Iterator[int]:
+    """Masks of the degree-d monomials outside the ideal, ascending."""
+    gens = [g.mask for g in I.gens if g.degree <= d]
+    for m in iter_degree_masks(I.n, d):
+        for g in gens:
+            if g & m == g:
+                break
+        else:
+            yield m
+
+
 def chain_space(I: MonomialIdeal, i: int, j: int) -> list[CartanBasisElement]:
     """Ordered basis at homological degree i, internal degree j.
 
@@ -72,11 +83,7 @@ def chain_space(I: MonomialIdeal, i: int, j: int) -> list[CartanBasisElement]:
     d = j - i
     if d < 0 or d > I.n:
         return []
-    survivors = [
-        Monomial(m)
-        for m in iter_degree_masks(I.n, d)
-        if not I.contains(Monomial(m))
-    ]
+    survivors = [Monomial(m) for m in _survivor_masks(I, d)]
     if not survivors:
         return []
     powers = list(_compositions(i, I.n))
@@ -173,19 +180,10 @@ class CartanTables(NamedTuple):
     ideal: BettiTable
 
 
-def _survivor_counts(I: MonomialIdeal) -> list[int]:
-    counts = []
-    for d in range(I.n + 1):
-        counts.append(
-            sum(1 for m in iter_degree_masks(I.n, d) if not I.contains(Monomial(m)))
-        )
-    return counts
-
-
 def _guard_dimensions(
     I: MonomialIdeal, i_max: int, j_max: int, cap: int
 ) -> None:
-    survivors = _survivor_counts(I)
+    survivors = [sum(1 for _ in _survivor_masks(I, d)) for d in range(I.n + 1)]
     for i in range(i_max + 2):
         blocks = comb(I.n + i - 1, i)
         for j in range(j_max + 1):

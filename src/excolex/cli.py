@@ -27,11 +27,14 @@ EXIT_RESOURCE = 3
 
 
 def _read_ideal(path: str, allow_text: bool) -> MonomialIdeal:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ContractViolation(f"{path}: JSON nested too deeply to decode") from None
     return MonomialIdeal.from_dict(data, allow_text=allow_text)
 
 

@@ -245,7 +245,7 @@ def revlex_conditions_two_degrees(
     )
 
 
-def revlex_condition_single_degree(I: MonomialIdeal, m_cap: int = 32) -> bool:
+def revlex_condition_single_degree(I: MonomialIdeal) -> bool:
     """Whether the colexsegment ideal of a single-degree ideal is revlex.
 
     For an ideal generated in one degree d < n-2 this is decided by the

@@ -10,11 +10,14 @@ not bounded by the interpreter's recursion limit.
 
 The same walk, with facets in place of the moves, streams every proper nonzero
 monomial ideal: the monomials outside such an ideal form a down-set of the
-subset order that contains 1 and is not everything.
+subset order that contains 1 and is not everything. Where a universe is too
+large to walk, a seeded draw of proper ideals tops it up.
 """
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .ideals import MonomialIdeal, component_masks, minimalize
@@ -107,7 +110,6 @@ def enumerate_strongly_stable_ideals(
     n: int,
     max_degrees: int = 2,
     max_extra: int | None = None,
-    degree_pairs: Iterable[tuple[int, int]] | None = None,
 ) -> Iterator[MonomialIdeal]:
     """Strongly stable ideals over e_1..e_n with at most two generator degrees.
 
@@ -116,25 +118,16 @@ def enumerate_strongly_stable_ideals(
     stable degree-d1 set is extended by every strongly stable degree-d2
     superset of its multiples, the new monomials becoming the d2 generators.
     Distinct choices give distinct minimal generating sets, so the stream is
-    duplicate-free. ``max_extra`` caps the number of degree-d2 generators;
-    ``degree_pairs`` restricts which (d1, d2) are visited.
+    duplicate-free. ``max_extra`` caps the number of degree-d2 generators.
     """
     if max_degrees < 1:
         return
-    if degree_pairs is None:
-        for d in range(1, n + 1):
-            for mset in enumerate_strongly_stable_sets(n, d):
-                yield MonomialIdeal(n, mset)
+    for d in range(1, n + 1):
+        for mset in enumerate_strongly_stable_sets(n, d):
+            yield MonomialIdeal(n, mset)
     if max_degrees < 2:
         return
-    pairs = (
-        [(d1, d2) for d1 in range(1, n + 1) for d2 in range(d1 + 1, n + 1)]
-        if degree_pairs is None
-        else sorted(set(degree_pairs))
-    )
-    for d1, d2 in pairs:
-        if not 1 <= d1 < d2 <= n:
-            continue
+    for d1, d2 in combinations(range(1, n + 1), 2):
         for mset in enumerate_strongly_stable_sets(n, d1):
             gen_masks = [u.mask for u in mset]
             comp = component_masks(gen_masks, n, d2)
@@ -156,3 +149,20 @@ def enumerate_proper_ideals(n: int) -> Iterator[MonomialIdeal]:
         if len(outside) < len(elems):
             skip = {u.mask for u in outside}
             yield minimalize(n, [Monomial(m) for m in elems if m not in skip])
+
+
+def seeded_proper_ideals(n: int, count: int) -> list[MonomialIdeal]:
+    """Deterministic pseudo-random proper ideals, dedup by canonical form."""
+    rng = random.Random(20240501)
+    pool = [m for d in range(1, n + 1) for m in iter_degree_masks(n, d)]
+    seen: set[tuple] = set()
+    out: list[MonomialIdeal] = []
+    while len(out) < count:
+        size = rng.randint(1, 6)
+        picks = [Monomial(rng.choice(pool)) for _ in range(size)]
+        I = minimalize(n, picks)
+        key = (I.n, I.gens)
+        if key not in seen:
+            seen.add(key)
+            out.append(I)
+    return out

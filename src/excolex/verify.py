@@ -4,24 +4,28 @@ Each campaign walks a declared universe of inputs, checks one claim on every
 instance, and returns a report whose failures are first-class payloads (a
 counterexample is a result, not a tool error). Reports are deterministic:
 fixed iteration orders, no wall-clock data.
+
+Each campaign is a universe dict plus a per-instance check, and one loop
+counts the instances and collects the failures each check yields. A claim is
+one entry in the claim table at the end plus its check; the entry maps the
+bounds n_max and i_max onto the campaign's keywords.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable, Iterable, Iterator
 
 from .betti import (
     MODE_EQUAL,
     MODE_LOWER,
     MODE_UPPER,
     compare_betti,
-    max_index_domination,
     stable_betti_table,
     tables_agree,
 )
-from .cartan import CartanBasisElement, cartan_betti, chain_space, differential
+from .cartan import cartan_betti, chain_space, differential
 from .colex import (
     colex_ideal,
     is_revlex_ideal,
@@ -33,29 +37,19 @@ from .enumeration import (
     enumerate_proper_ideals,
     enumerate_strongly_stable_ideals,
     enumerate_strongly_stable_sets,
+    seeded_proper_ideals,
 )
 from .errors import ContractViolation, HypothesisViolated
 from .ideals import MonomialIdeal, degree_profile, graded_component, minimalize
 from .monomials import (
     Monomial,
     count_max_index_le,
-    iter_degree_masks,
     multiples_by,
     partial_shadow,
     restrict_max_index,
     revlex_min,
     revlex_segment,
     shadow,
-)
-
-CLAIMS = (
-    "green",
-    "colex-bound",
-    "prop42",
-    "lemma41",
-    "example51",
-    "section6",
-    "oracle-agreement",
 )
 
 
@@ -84,6 +78,34 @@ class VerificationReport:
         }
 
 
+def _run(claim: str, universe: dict, *parts: tuple[Iterable, Callable]) -> VerificationReport:
+    """The report of one campaign: every item of every part is one instance.
+
+    Each part is an (items, check) pair, run in order; ``check(item)`` yields
+    the item's failure payloads, none when the claim holds on it.
+    """
+    report = VerificationReport(claim, universe, 0)
+    for items, check in parts:
+        for item in items:
+            report.instances += 1
+            report.failures.extend(check(item))
+    return report
+
+
+def _stable_ideals(n_max: int, **options) -> Iterator[MonomialIdeal]:
+    """The strongly stable ideals of ``enumerate_strongly_stable_ideals``, n = 1..n_max."""
+    for n in range(1, n_max + 1):
+        yield from enumerate_strongly_stable_ideals(n, **options)
+
+
+def _stable_sets(n_max: int) -> Iterator[tuple[int, tuple[Monomial, ...]]]:
+    """(n, M) for every nonempty strongly stable set M of one degree, n = 1..n_max."""
+    for n in range(1, n_max + 1):
+        for d in range(1, n + 1):
+            for mset in enumerate_strongly_stable_sets(n, d):
+                yield n, mset
+
+
 def verify_green(n_max: int = 5, m_cap: int = 32) -> VerificationReport:
     """The segment construction never loses low-index monomials, componentwise.
 
@@ -92,33 +114,29 @@ def verify_green(n_max: int = 5, m_cap: int = 32) -> VerificationReport:
     with largest index <= p is at most the same count for the construction.
     Both sides live in the ambient where the construction completed.
     """
-    report = VerificationReport(
-        "green", {"n_max": n_max, "max_degrees": 2, "m_cap": m_cap}, 0
-    )
-    for n in range(1, n_max + 1):
-        for I in enumerate_strongly_stable_ideals(n):
-            result = colex_ideal(I, m_cap)
-            big = result.m
-            I_big = I.reembed(big)
-            report.instances += 1
-            for t in range(I_big.indeg, big + 1):
-                comp_i = graded_component(I_big, t)
-                comp_j = graded_component(result.ideal, t)
-                for p in range(t, big + 1):
-                    lhs = count_max_index_le(comp_i, p)
-                    rhs = count_max_index_le(comp_j, p)
-                    if lhs > rhs:
-                        report.failures.append(
-                            {
-                                "ideal": I.as_dict(),
-                                "construction": result.ideal.as_dict(),
-                                "t": t,
-                                "p": p,
-                                "lhs": lhs,
-                                "rhs": rhs,
-                            }
-                        )
-    return report
+
+    def check(I: MonomialIdeal):
+        result = colex_ideal(I, m_cap)
+        big = result.m
+        I_big = I.reembed(big)
+        for t in range(I_big.indeg, big + 1):
+            comp_i = graded_component(I_big, t)
+            comp_j = graded_component(result.ideal, t)
+            for p in range(t, big + 1):
+                lhs = count_max_index_le(comp_i, p)
+                rhs = count_max_index_le(comp_j, p)
+                if lhs > rhs:
+                    yield {
+                        "ideal": I.as_dict(),
+                        "construction": result.ideal.as_dict(),
+                        "t": t,
+                        "p": p,
+                        "lhs": lhs,
+                        "rhs": rhs,
+                    }
+
+    universe = {"n_max": n_max, "max_degrees": 2, "m_cap": m_cap}
+    return _run("green", universe, (_stable_ideals(n_max), check))
 
 
 def verify_colex_lower_bound(n_max: int = 6, i_max: int = 8) -> VerificationReport:
@@ -127,25 +145,20 @@ def verify_colex_lower_bound(n_max: int = 6, i_max: int = 8) -> VerificationRepo
     Checks the total-Betti comparison up to i_max and the sorted largest-index
     domination, which certifies the inequality for every homological degree.
     """
-    report = VerificationReport(
-        "colex-bound", {"n_max": n_max, "degrees": 1, "i_max": i_max}, 0
-    )
-    for n in range(1, n_max + 1):
-        for I in enumerate_strongly_stable_ideals(n, max_degrees=1):
-            result = colex_ideal(I)
-            verdict = compare_betti(I, result.ideal, i_max)
-            dominated = max_index_domination(I, result.ideal)
-            report.instances += 1
-            if verdict.mode not in (MODE_LOWER, MODE_EQUAL) or not dominated:
-                report.failures.append(
-                    {
-                        "ideal": I.as_dict(),
-                        "construction": result.ideal.as_dict(),
-                        "verdict": verdict.as_dict(),
-                        "domination": dominated,
-                    }
-                )
-    return report
+
+    def check(I: MonomialIdeal):
+        result = colex_ideal(I)
+        verdict = compare_betti(I, result.ideal, i_max)
+        if verdict.mode not in (MODE_LOWER, MODE_EQUAL) or not verdict.domination:
+            yield {
+                "ideal": I.as_dict(),
+                "construction": result.ideal.as_dict(),
+                "verdict": verdict.as_dict(),
+                "domination": verdict.domination,
+            }
+
+    universe = {"n_max": n_max, "degrees": 1, "i_max": i_max}
+    return _run("colex-bound", universe, (_stable_ideals(n_max, max_degrees=1), check))
 
 
 def verify_shadow_counting(n_max: int = 6, ideal_n_max: int = 5) -> VerificationReport:
@@ -157,47 +170,44 @@ def verify_shadow_counting(n_max: int = 6, ideal_n_max: int = 5) -> Verification
     first p variables equals the union over i in (t, p] of e_i times the
     i-restricted component.
     """
-    report = VerificationReport(
+
+    def check_set(item: tuple[int, tuple[Monomial, ...]]):
+        n, mset = item
+        expect = sum(n - u.max_index for u in mset)
+        got = len(shadow(mset, n))
+        if got != expect:
+            yield {
+                "n": n,
+                "set": [u.text() for u in mset],
+                "shadow_size": got,
+                "expected": expect,
+            }
+
+    def check_ideal(I: MonomialIdeal):
+        n = I.n
+        for t in range(I.indeg, n):
+            comp = graded_component(I, t)
+            for p in range(t + 1, n + 1):
+                combined = partial_shadow(restrict_max_index(comp, p), p, n)
+                pieces = set()
+                for i in range(t + 1, p + 1):
+                    pieces |= multiples_by(restrict_max_index(comp, i), i)
+                if combined != pieces:
+                    yield {
+                        "ideal": I.as_dict(),
+                        "t": t,
+                        "p": p,
+                        "combined": sorted(u.text() for u in combined),
+                        "union": sorted(u.text() for u in pieces),
+                    }
+
+    universe = {"set_n_max": n_max, "ideal_n_max": ideal_n_max, "max_degrees": 2}
+    return _run(
         "prop42",
-        {"set_n_max": n_max, "ideal_n_max": ideal_n_max, "max_degrees": 2},
-        0,
+        universe,
+        (_stable_sets(n_max), check_set),
+        (_stable_ideals(ideal_n_max), check_ideal),
     )
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            for mset in enumerate_strongly_stable_sets(n, d):
-                report.instances += 1
-                expect = sum(n - u.max_index for u in mset)
-                got = len(shadow(mset, n))
-                if got != expect:
-                    report.failures.append(
-                        {
-                            "n": n,
-                            "set": [u.text() for u in mset],
-                            "shadow_size": got,
-                            "expected": expect,
-                        }
-                    )
-    for n in range(1, ideal_n_max + 1):
-        for I in enumerate_strongly_stable_ideals(n):
-            report.instances += 1
-            for t in range(I.indeg, n):
-                comp = graded_component(I, t)
-                for p in range(t + 1, n + 1):
-                    combined = partial_shadow(restrict_max_index(comp, p), p, n)
-                    pieces = set()
-                    for i in range(t + 1, p + 1):
-                        pieces |= multiples_by(restrict_max_index(comp, i), i)
-                    if combined != pieces:
-                        report.failures.append(
-                            {
-                                "ideal": I.as_dict(),
-                                "t": t,
-                                "p": p,
-                                "combined": sorted(u.text() for u in combined),
-                                "union": sorted(u.text() for u in pieces),
-                            }
-                        )
-    return report
 
 
 def verify_minimal_shadow_membership(n_max: int = 6) -> VerificationReport:
@@ -206,31 +216,28 @@ def verify_minimal_shadow_membership(n_max: int = 6) -> VerificationReport:
     For strongly stable M with least member tau: tau times e_i stays in the
     shadow of M minus tau exactly when i is below tau's largest index.
     """
-    report = VerificationReport("lemma41", {"n_max": n_max}, 0)
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            for mset in enumerate_strongly_stable_sets(n, d):
-                report.instances += 1
-                tau = revlex_min(mset)
-                rest = [u for u in mset if u != tau]
-                shad = shadow(rest, n) if rest else set()
-                for i in range(1, n + 1):
-                    if tau.contains(i):
-                        continue
-                    inside = tau.with_index(i) in shad
-                    expected = i < tau.max_index
-                    if inside != expected:
-                        report.failures.append(
-                            {
-                                "n": n,
-                                "set": [u.text() for u in mset],
-                                "tau": tau.text(),
-                                "i": i,
-                                "in_shadow": inside,
-                                "expected": expected,
-                            }
-                        )
-    return report
+
+    def check(item: tuple[int, tuple[Monomial, ...]]):
+        n, mset = item
+        tau = revlex_min(mset)
+        rest = [u for u in mset if u != tau]
+        shad = shadow(rest, n) if rest else set()
+        for i in range(1, n + 1):
+            if tau.contains(i):
+                continue
+            inside = tau.with_index(i) in shad
+            expected = i < tau.max_index
+            if inside != expected:
+                yield {
+                    "n": n,
+                    "set": [u.text() for u in mset],
+                    "tau": tau.text(),
+                    "i": i,
+                    "in_shadow": inside,
+                    "expected": expected,
+                }
+
+    return _run("lemma41", {"n_max": n_max}, (_stable_sets(n_max), check))
 
 
 # the eleven curated two-degree pairs over five variables, with their known
@@ -268,15 +275,13 @@ def verify_bound_tables(i_max: int = 10) -> VerificationReport:
         raise ContractViolation(
             f"example51 needs i_max >= 2 (upper rows are strict from 2), got {i_max}"
         )
-    report = VerificationReport(
-        "example51", {"n": 5, "rows": len(BOUND_TABLE_ROWS), "i_max": i_max}, 0
-    )
-    equal_low: set[tuple[int, int]] = set()
-    for row, (direction, i_text, j_text) in enumerate(BOUND_TABLE_ROWS, start=1):
+    equal_low: set[int] = set()  # upper rows with equal totals at i = 0 or 1
+
+    def check(item: tuple[int, tuple[str, str, str]]):
+        row, (direction, i_text, j_text) = item
         I = _ideal_from_texts(5, i_text)
         expected_J = _ideal_from_texts(5, j_text)
         result = colex_ideal(I)
-        report.instances += 1
         problems = []
         if result.m != 5 or result.ideal != expected_J:
             problems.append("construction mismatch")
@@ -284,7 +289,7 @@ def verify_bound_tables(i_max: int = 10) -> VerificationReport:
         if direction == "lower":
             if verdict.mode not in (MODE_LOWER, MODE_EQUAL):
                 problems.append(f"direction {verdict.mode}")
-            if not max_index_domination(I, expected_J):
+            if not verdict.domination:
                 problems.append("domination fails")
         else:
             if verdict.mode != MODE_UPPER:
@@ -292,28 +297,34 @@ def verify_bound_tables(i_max: int = 10) -> VerificationReport:
             missing = [i for i in range(2, i_max + 1) if i not in verdict.strict_indices]
             if missing:
                 problems.append(f"not strict at {missing}")
-            for i in (0, 1):
-                if i in verdict.equal_indices:
-                    equal_low.add((row, i))
+            if 0 in verdict.equal_indices or 1 in verdict.equal_indices:
+                equal_low.add(row)
         if problems:
-            report.failures.append(
-                {
-                    "row": row,
-                    "direction": direction,
-                    "ideal": I.as_dict(),
-                    "expected": expected_J.as_dict(),
-                    "got": result.as_dict(),
-                    "problems": problems,
-                }
-            )
+            yield {
+                "row": row,
+                "direction": direction,
+                "ideal": I.as_dict(),
+                "expected": expected_J.as_dict(),
+                "got": result.as_dict(),
+                "problems": problems,
+            }
+
+    universe = {"n": 5, "rows": len(BOUND_TABLE_ROWS), "i_max": i_max}
+    report = _run("example51", universe, (enumerate(BOUND_TABLE_ROWS, start=1), check))
     if equal_low:
-        rows = sorted({r for r, _ in equal_low})
+        rows = ",".join(map(str, sorted(equal_low)))
         report.notes.append(
-            "upper rows "
-            + ",".join(map(str, rows))
-            + ": totals are equal at i in {0,1}; strict inequality starts at i=2"
+            f"upper rows {rows}: totals are equal at i in {{0,1}}; strict inequality starts at i=2"
         )
     return report
+
+
+def _segment_sizes(n_max: int) -> Iterator[tuple[int, int, int]]:
+    """(n, d, count) for every revlex segment of degree d < n-2, 4 <= n <= n_max."""
+    for n in range(4, n_max + 1):
+        for d in range(1, n - 2):
+            for count in range(1, comb(n, d) + 1):
+                yield n, d, count
 
 
 def verify_revlex_characterizations(
@@ -331,96 +342,70 @@ def verify_revlex_characterizations(
     stable ideal (full enumeration below the top size, capped extra degree-d2
     generators at the top size).
     """
-    report = VerificationReport(
-        "section6",
-        {
-            "segment_n_max": segment_n_max,
-            "ideal_n_max": ideal_n_max,
-            "max_extra_at_top": max_extra_at_top,
-        },
-        0,
+
+    # the two reference constructions: (case, n, ideal, its construction, revlex?)
+    references = (
+        ("reference non-revlex", 6, "e1e2,e1e3,e1e4e5", "e1e2,e1e3,e2e3e4", False),
+        ("reference revlex", 5, "e1e2,e1e3,e1e4,e2e3e4", "e1e2,e1e3,e2e3,e1e4e5", True),
     )
-    # the two reference constructions
-    ref_not = _ideal_from_texts(6, "e1e2,e1e3,e1e4e5")
-    res_not = colex_ideal(ref_not)
-    report.instances += 1
-    if (
-        res_not.ideal != _ideal_from_texts(6, "e1e2,e1e3,e2e3e4")
-        or is_revlex_ideal(res_not.ideal)
-    ):
-        report.failures.append(
-            {"case": "reference non-revlex", "got": res_not.as_dict()}
-        )
-    ref_yes = _ideal_from_texts(5, "e1e2,e1e3,e1e4,e2e3e4")
-    res_yes = colex_ideal(ref_yes)
-    report.instances += 1
-    if (
-        res_yes.ideal != _ideal_from_texts(5, "e1e2,e1e3,e2e3,e1e4e5")
-        or not is_revlex_ideal(res_yes.ideal)
-    ):
-        report.failures.append({"case": "reference revlex", "got": res_yes.as_dict()})
-    # segment/shadow triple equivalence
-    for n in range(4, segment_n_max + 1):
-        for d in range(1, n - 2):
-            for count in range(1, comb(n, d) + 1):
-                a, b, c = segment_shadow_conditions(revlex_segment(n, d, count), n)
-                report.instances += 1
-                if not a == b == c:
-                    report.failures.append(
-                        {"case": "segment triple", "n": n, "d": d, "count": count,
-                         "conditions": [a, b, c]}
-                    )
-    # single-degree criterion: the construction only depends on (n, d, count)
-    for n in range(4, ideal_n_max + 1):
-        for d in range(1, n - 2):
-            for count in range(1, comb(n, d) + 1):
-                I = MonomialIdeal(n, revlex_segment(n, d, count))
-                predicted = revlex_condition_single_degree(I)
-                actual = is_revlex_ideal(colex_ideal(I).ideal)
-                report.instances += 1
-                if predicted != actual:
-                    report.failures.append(
-                        {"case": "single degree", "n": n, "d": d, "count": count,
-                         "predicted": predicted, "actual": actual}
-                    )
-    # two-degree condition report, enumerated
-    for n in range(5, ideal_n_max + 1):
-        max_extra = max_extra_at_top if n == ideal_n_max else None
-        for I in enumerate_strongly_stable_ideals(n, max_extra=max_extra):
-            if len(degree_profile(I)) != 2:
-                continue
-            try:
-                rep = revlex_conditions_two_degrees(I)
-            except HypothesisViolated:
-                continue
-            report.instances += 1
-            if not rep.consistent:
-                report.failures.append(
-                    {"case": "two degrees", "ideal": I.as_dict(),
-                     "report": rep.as_dict()}
-                )
-    return report
+
+    def check_reference(item: tuple[str, int, str, str, bool]):
+        case, n, texts, expected, revlex = item
+        got = colex_ideal(_ideal_from_texts(n, texts))
+        if got.ideal != _ideal_from_texts(n, expected) or is_revlex_ideal(got.ideal) != revlex:
+            yield {"case": case, "got": got.as_dict()}
+
+    def check_triple(item: tuple[int, int, int]):
+        n, d, count = item
+        a, b, c = segment_shadow_conditions(revlex_segment(n, d, count), n)
+        if not a == b == c:
+            yield {"case": "segment triple", "n": n, "d": d, "count": count,
+                   "conditions": [a, b, c]}
+
+    # the single-degree construction only depends on (n, d, count)
+    def check_single(item: tuple[int, int, int]):
+        n, d, count = item
+        I = MonomialIdeal(n, revlex_segment(n, d, count))
+        predicted = revlex_condition_single_degree(I)
+        actual = is_revlex_ideal(colex_ideal(I).ideal)
+        if predicted != actual:
+            yield {"case": "single degree", "n": n, "d": d, "count": count,
+                   "predicted": predicted, "actual": actual}
+
+    def two_degree_reports():
+        for n in range(5, ideal_n_max + 1):
+            max_extra = max_extra_at_top if n == ideal_n_max else None
+            for I in enumerate_strongly_stable_ideals(n, max_extra=max_extra):
+                if len(degree_profile(I)) != 2:
+                    continue
+                try:
+                    rep = revlex_conditions_two_degrees(I)
+                except HypothesisViolated:
+                    continue
+                yield I, rep
+
+    def check_two_degrees(item):
+        I, rep = item
+        if not rep.consistent:
+            yield {"case": "two degrees", "ideal": I.as_dict(), "report": rep.as_dict()}
+
+    universe = {
+        "segment_n_max": segment_n_max,
+        "ideal_n_max": ideal_n_max,
+        "max_extra_at_top": max_extra_at_top,
+    }
+    return _run(
+        "section6",
+        universe,
+        (references, check_reference),
+        (_segment_sizes(segment_n_max), check_triple),
+        (_segment_sizes(ideal_n_max), check_single),
+        (two_degree_reports(), check_two_degrees),
+    )
 
 
-def _seeded_ideals(n: int, count: int, seed: int = 20240501) -> list[MonomialIdeal]:
-    """Deterministic pseudo-random proper ideals, dedup by canonical form."""
-    rng = random.Random(seed)
-    pool = [m for d in range(1, n + 1) for m in iter_degree_masks(n, d)]
-    seen: set[tuple] = set()
-    out: list[MonomialIdeal] = []
-    while len(out) < count:
-        size = rng.randint(1, 6)
-        picks = [Monomial(rng.choice(pool)) for _ in range(size)]
-        I = minimalize(n, picks)
-        key = (I.n, I.gens)
-        if key not in seen:
-            seen.add(key)
-            out.append(I)
-    return out
-
-
-def _boundary_squared_witness(I: MonomialIdeal, i_max: int) -> CartanBasisElement | None:
-    """The first element of homological degree 2..i_max with d(d(elem)) != 0, or None."""
+def _boundary_squared_failures(I: MonomialIdeal, i_max: int) -> Iterator[dict]:
+    """The first element of homological degree 2..i_max with d(d(elem)) != 0, if any."""
     for i in range(2, i_max + 1):
         for j in range(I.n + i + 1):
             for elem in chain_space(I, i, j):
@@ -429,8 +414,12 @@ def _boundary_squared_witness(I: MonomialIdeal, i_max: int) -> CartanBasisElemen
                     for s2, end in differential(mid, I):
                         acc[end] = acc.get(end, 0) + s1 * s2
                 if any(acc.values()):
-                    return elem
-    return None
+                    yield {
+                        "case": "boundary squared",
+                        "ideal": I.as_dict(),
+                        "element": [elem.mono.text(), list(elem.powers)],
+                    }
+                    return
 
 
 def verify_oracle_agreement(
@@ -449,91 +438,76 @@ def verify_oracle_agreement(
     n = 5); and boundary-of-boundary = 0 on every basis element, exhaustively
     for all proper ideals with n <= 4 and homological degree <= dd_i_max.
     """
-    report = VerificationReport(
-        "oracle-agreement",
-        {
-            "n_max": n_max,
-            "i_max": i_max,
-            "beta1_target": beta1_target,
-            "dd_i_max": dd_i_max,
-        },
-        0,
-    )
-    for n in range(1, n_max + 1):
-        for I in enumerate_strongly_stable_ideals(n):
-            tables = cartan_betti(I, i_max + 1)
-            formula = stable_betti_table(I, i_max)
-            report.instances += 1
-            if not tables_agree(tables.ideal, formula, i_max):
-                report.failures.append(
-                    {
-                        "case": "formula",
-                        "ideal": I.as_dict(),
-                        "oracle": tables.ideal.as_dict(),
-                        "closed_form": formula.as_dict(),
-                    }
-                )
-    beta1_pool: list[MonomialIdeal] = []
-    for n in range(1, 5):
-        beta1_pool.extend(enumerate_proper_ideals(n))
-    exhaustive = len(beta1_pool)
-    if exhaustive < beta1_target:
-        beta1_pool.extend(_seeded_ideals(5, beta1_target - exhaustive))
-    for I in beta1_pool:
-        tables = cartan_betti(I, 1)
-        report.instances += 1
+
+    def check_formula(I: MonomialIdeal):
+        tables = cartan_betti(I, i_max + 1)
+        formula = stable_betti_table(I, i_max)
+        if not tables_agree(tables.ideal, formula, i_max):
+            yield {
+                "case": "formula",
+                "ideal": I.as_dict(),
+                "oracle": tables.ideal.as_dict(),
+                "closed_form": formula.as_dict(),
+            }
+
+    def check_beta1(I: MonomialIdeal):
+        quotient = cartan_betti(I, 1).quotient
         for j in range(I.n + 2):
-            if tables.quotient.entry(1, j) != len(I.gens_of_degree(j)):
-                report.failures.append(
-                    {
-                        "case": "beta1",
-                        "ideal": I.as_dict(),
-                        "j": j,
-                        "oracle": tables.quotient.entry(1, j),
-                        "generators": len(I.gens_of_degree(j)),
-                    }
-                )
-    report.notes.append(
-        f"beta1 universe: all {exhaustive} proper monomial ideals with n <= 4, "
-        f"plus {len(beta1_pool) - exhaustive} seeded at n = 5"
+            if quotient.entry(1, j) != len(I.gens_of_degree(j)):
+                yield {
+                    "case": "beta1",
+                    "ideal": I.as_dict(),
+                    "j": j,
+                    "oracle": quotient.entry(1, j),
+                    "generators": len(I.gens_of_degree(j)),
+                }
+
+    proper = [I for n in range(1, 5) for I in enumerate_proper_ideals(n)]
+    seeded = seeded_proper_ideals(5, beta1_target - len(proper))  # none once reached
+    universe = {
+        "n_max": n_max,
+        "i_max": i_max,
+        "beta1_target": beta1_target,
+        "dd_i_max": dd_i_max,
+    }
+    report = _run(
+        "oracle-agreement",
+        universe,
+        (_stable_ideals(n_max), check_formula),
+        (proper + seeded, check_beta1),
+        (proper, lambda I: _boundary_squared_failures(I, dd_i_max)),
     )
-    for n in range(1, 5):
-        for I in enumerate_proper_ideals(n):
-            report.instances += 1
-            elem = _boundary_squared_witness(I, dd_i_max)
-            if elem is not None:
-                report.failures.append(
-                    {
-                        "case": "boundary squared",
-                        "ideal": I.as_dict(),
-                        "element": [elem.mono.text(), list(elem.powers)],
-                    }
-                )
+    report.notes.append(
+        f"beta1 universe: all {len(proper)} proper monomial ideals with n <= 4, "
+        f"plus {len(seeded)} seeded at n = 5"
+    )
     return report
 
 
-def _given(bound: int | None, default: int) -> int:
-    return default if bound is None else bound
+# claim -> (campaign, its keywords from the bounds n and i). A keyword whose
+# bound is None is not passed, so every default lives in one signature; bounds
+# arrive checked (n >= 1), so ``n and min(n, cap)`` is None exactly when n is.
+_CAMPAIGNS: dict[str, tuple[Callable[..., VerificationReport], Callable[..., dict]]] = {
+    "green": (verify_green, lambda n, i: {"n_max": n}),
+    "colex-bound": (verify_colex_lower_bound, lambda n, i: {"n_max": n, "i_max": i}),
+    "prop42": (verify_shadow_counting, lambda n, i: {"n_max": n, "ideal_n_max": n and min(n, 5)}),
+    "lemma41": (verify_minimal_shadow_membership, lambda n, i: {"n_max": n}),
+    "example51": (verify_bound_tables, lambda n, i: {"i_max": i}),
+    "section6": (
+        verify_revlex_characterizations,
+        lambda n, i: {"segment_n_max": n, "ideal_n_max": n and min(n, 7)},
+    ),
+    "oracle-agreement": (verify_oracle_agreement, lambda n, i: {"n_max": n, "i_max": i}),
+}
+CLAIMS = tuple(_CAMPAIGNS)
 
 
 def run_claim(claim: str, n_max: int | None = None, i_max: int | None = None) -> VerificationReport:
-    """Dispatch a named campaign; a bound left as None takes its standard value."""
+    """Run a named campaign; a bound left as None keeps the campaign's default."""
     if (n_max is not None and n_max < 1) or (i_max is not None and i_max < 0):
         raise ContractViolation(f"need n_max >= 1 and i_max >= 0, got {n_max}, {i_max}")
-    if claim == "green":
-        return verify_green(_given(n_max, 5))
-    if claim == "colex-bound":
-        return verify_colex_lower_bound(_given(n_max, 6), _given(i_max, 8))
-    if claim == "prop42":
-        return verify_shadow_counting(_given(n_max, 6), min(_given(n_max, 5), 5))
-    if claim == "lemma41":
-        return verify_minimal_shadow_membership(_given(n_max, 6))
-    if claim == "example51":
-        return verify_bound_tables(_given(i_max, 10))
-    if claim == "section6":
-        return verify_revlex_characterizations(
-            segment_n_max=_given(n_max, 8), ideal_n_max=min(_given(n_max, 7), 7)
-        )
-    if claim == "oracle-agreement":
-        return verify_oracle_agreement(_given(n_max, 5), _given(i_max, 4))
-    raise ContractViolation(f"unknown claim {claim!r}; choose from {', '.join(CLAIMS)}")
+    if claim not in _CAMPAIGNS:
+        raise ContractViolation(f"unknown claim {claim!r}; choose from {', '.join(CLAIMS)}")
+    campaign, keywords = _CAMPAIGNS[claim]
+    given = {k: v for k, v in keywords(n_max, i_max).items() if v is not None}
+    return campaign(**given)

@@ -245,6 +245,16 @@ def test_undecodable_input_is_usage_error(capsys, tmp_path):
     assert not out and err
 
 
+def test_deeply_nested_input_is_usage_error(capsys, tmp_path):
+    # the JSON decoder recurses once per array, so this depth exhausts its stack
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 3, "generators": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, "colex", "--input", str(path))
+    assert code == 2
+    assert not out and "nested too deeply" in err
+
+
 def test_composite_field_is_usage_error(capsys, ex_small):
     code, out, err = run(capsys, "betti", "--input", ex_small, "--oracle", "--field", "4")
     assert code == 2

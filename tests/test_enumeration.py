@@ -152,15 +152,6 @@ def test_two_degree_ideals_have_two_degrees():
         assert d1 < d2
 
 
-def test_degree_pairs_filter():
-    only = list(
-        enumerate_strongly_stable_ideals(4, degree_pairs=[(2, 3)])
-    )
-    assert only
-    for I in only:
-        assert [d for d, _ in degree_profile(I)] == [2, 3]
-
-
 def test_max_extra_caps_new_generators():
     for I in enumerate_strongly_stable_ideals(5, max_extra=1):
         profile = degree_profile(I)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from excolex import verify
 from excolex.errors import ContractViolation
 from excolex.verify import (
     CLAIMS,
@@ -123,3 +124,38 @@ def test_bound_tables_refuse_a_window_below_the_strict_range(i_max):
     # report their equal totals as a counterexample
     with pytest.raises(ContractViolation):
         run_claim("example51", i_max=i_max)
+
+
+# the keywords each campaign gets from run_claim(claim, n_max=7, i_max=3), in
+# the order of CLAIMS, which is the order of --claim's choices and the README
+KEYWORDS_AT_7_3 = {
+    "green": {"n_max": 7},
+    "colex-bound": {"n_max": 7, "i_max": 3},
+    "prop42": {"n_max": 7, "ideal_n_max": 5},
+    "lemma41": {"n_max": 7},
+    "example51": {"i_max": 3},
+    "section6": {"segment_n_max": 7, "ideal_n_max": 7},
+    "oracle-agreement": {"n_max": 7, "i_max": 3},
+}
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_claim_table_maps_bounds_to_keywords(claim, monkeypatch):
+    assert CLAIMS == tuple(KEYWORDS_AT_7_3)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return VerificationReport(claim, {}, 0)
+
+    _, keywords = verify._CAMPAIGNS[claim]
+    monkeypatch.setitem(verify._CAMPAIGNS, claim, (recorder, keywords))
+    run_claim(claim)
+    run_claim(claim, n_max=7, i_max=3)
+    run_claim(claim, n_max=9)
+    # no bound given, no keyword passed: the defaults live in the signatures
+    assert calls[0] == ((), {})
+    assert calls[1] == ((), KEYWORDS_AT_7_3[claim])
+    # the ideal parts of prop42 and section6 stay capped at 5 and 7
+    caps = {"prop42": 5, "section6": 7}
+    assert calls[2][1].get("ideal_n_max") == caps.get(claim)
