@@ -180,18 +180,23 @@ class CartanTables(NamedTuple):
     ideal: BettiTable
 
 
-def _guard_dimensions(
-    I: MonomialIdeal, i_max: int, j_max: int, cap: int
-) -> None:
-    survivors = [sum(1 for _ in _survivor_masks(I, d)) for d in range(I.n + 1)]
+def _guard_dimensions(I: MonomialIdeal, i_max: int, cap: int) -> None:
+    survivors: list[int] = []  # by degree, counted on first need: a refusal stops early
     for i in range(i_max + 2):
         blocks = comb(I.n + i - 1, i)
-        for j in range(j_max + 1):
-            d = j - i
-            if 0 <= d <= I.n:
-                dim = survivors[d] * blocks
-                if dim > cap:
-                    raise OracleTooLarge(i, j, dim, cap)
+        for d in range(min(I.n, I.n + i_max - i) + 1):  # j = i + d up to n + i_max
+            if d == len(survivors):  # row i = 0 reaches every degree, in order
+                survivors.append(sum(1 for _ in _survivor_masks(I, d)))
+            dim = survivors[d] * blocks
+            if dim > cap:
+                raise OracleTooLarge(i, i + d, dim, cap)
+
+
+def _homology(dims: list[int], ranks: list[int]) -> dict[int, int]:
+    """Nonzero homology by level; ``ranks[k]`` is the rank between levels k and k+1."""
+    bordering = [0, *ranks, 0]  # level k lies between maps k - 1 and k
+    homology = {k: dim - bordering[k] - bordering[k + 1] for k, dim in enumerate(dims)}
+    return {k: h for k, h in homology.items() if h}
 
 
 def _strand_homology(
@@ -202,8 +207,7 @@ def _strand_homology(
     The boundary raises subset size by one and carries the insertion sign; the
     result depends only on the support, not on the multidegree above it.
     """
-    size = support.bit_count()
-    levels: list[list[int]] = [[] for _ in range(size + 1)]
+    levels: list[list[int]] = [[] for _ in range(support.bit_count() + 1)]
     sub = 0
     while True:  # the subsets of the support in ascending order
         if not any(g & sub == g for g in gen_masks):
@@ -211,10 +215,10 @@ def _strand_homology(
         if sub == support:
             break
         sub = (sub - support) & support
-    out_rank = [0] * (size + 1)
-    for d in range(size):
-        src, dst = levels[d], levels[d + 1]
+    ranks = []
+    for src, dst in zip(levels, levels[1:]):
         if not src or not dst:
+            ranks.append(0)
             continue
         position = {mask: c for c, mask in enumerate(dst)}
         rows = []  # one row per source subset: its boundary
@@ -228,21 +232,12 @@ def _strand_homology(
                 if c is not None:
                     row[c] = -1 if (sigma & (bit - 1)).bit_count() & 1 else 1
             rows.append(row)
-        out_rank[d] = rank_fn(rows)
-    homology: dict[int, int] = {}
-    for d in range(size + 1):
-        dim = len(levels[d])
-        if not dim:
-            continue
-        incoming = out_rank[d - 1] if d > 0 else 0
-        h = dim - out_rank[d] - incoming
-        if h:
-            homology[d] = h
-    return homology
+        ranks.append(rank_fn(rows))
+    return _homology([len(level) for level in levels], ranks)
 
 
 def _betti_by_strands(
-    I: MonomialIdeal, i_max: int, j_max: int, rank_fn
+    I: MonomialIdeal, i_max: int, rank_fn
 ) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
     gen_masks = [g.mask for g in I.gens]
@@ -258,7 +253,7 @@ def _betti_by_strands(
             # only the zero multidegree sits over the empty support
             entries[(0, 0)] = entries.get((0, 0), 0) + homology.get(0, 0)
             continue
-        for j in range(s, j_max + 1):
+        for j in range(s, I.n + i_max + 1):
             weight = comb(j - 1, s - 1)  # multidegrees with this support and size j
             for d, h in homology.items():
                 i = j - d
@@ -268,48 +263,31 @@ def _betti_by_strands(
     return {k: v for k, v in entries.items() if v}
 
 
-def _betti_direct(
-    I: MonomialIdeal, i_max: int, j_max: int, rank_fn
-) -> dict[tuple[int, int], int]:
-    spaces: dict[tuple[int, int], list[CartanBasisElement]] = {}
-
-    def space(i: int, j: int) -> list[CartanBasisElement]:
-        key = (i, j)
-        if key not in spaces:
-            spaces[key] = chain_space(I, i, j)
-        return spaces[key]
-
-    ranks: dict[tuple[int, int], int] = {}
-    for j in range(j_max + 1):
-        for i in range(1, i_max + 2):
-            src = space(i, j)
-            dst = space(i - 1, j)
+def _betti_direct(I: MonomialIdeal, i_max: int, rank_fn) -> dict[tuple[int, int], int]:
+    entries: dict[tuple[int, int], int] = {}
+    for j in range(I.n + i_max + 1):  # the differential keeps the internal degree
+        spaces = [chain_space(I, i, j) for i in range(i_max + 2)]
+        ranks = []  # ranks[i]: the boundary from level i + 1 down to level i
+        for dst, src in zip(spaces, spaces[1:]):
             if not src or not dst:
-                ranks[(i, j)] = 0
+                ranks.append(0)
                 continue
             position = {elem: c for c, elem in enumerate(dst)}
             rows = [
                 {position[target]: sign for sign, target in differential(elem, I)}
                 for elem in src
             ]
-            ranks[(i, j)] = rank_fn(rows)
-    entries: dict[tuple[int, int], int] = {}
-    for i in range(i_max + 1):
-        for j in range(j_max + 1):
-            dim = len(space(i, j))
-            if not dim:
-                continue
-            outgoing = ranks[(i, j)] if i >= 1 else 0
-            value = dim - outgoing - ranks[(i + 1, j)]
-            if value:
-                entries[(i, j)] = value
+            ranks.append(rank_fn(rows))
+        # level i_max + 1 misses its outgoing rank; only lower levels are kept
+        for i, h in _homology([len(space) for space in spaces], ranks).items():
+            if i <= i_max:
+                entries[(i, j)] = h
     return entries
 
 
 def cartan_betti(
     I: MonomialIdeal,
     i_max: int,
-    j_max: int | None = None,
     method: str = "strands",
     prime: int | None = None,
     max_cell_dim: int = DEFAULT_CELL_CAP,
@@ -325,14 +303,12 @@ def cartan_betti(
         raise ContractViolation("need i_max >= 1 to report the shifted table")
     if prime is not None:
         _require_prime(prime)
-    if j_max is None:
-        j_max = I.n + i_max
     rank_fn = exact_rank if prime is None else (lambda rows: rank_mod_p(rows, prime))
-    _guard_dimensions(I, i_max, j_max, max_cell_dim)
+    _guard_dimensions(I, i_max, max_cell_dim)
     if method == "strands":
-        q_entries = _betti_by_strands(I, i_max, j_max, rank_fn)
+        q_entries = _betti_by_strands(I, i_max, rank_fn)
     elif method == "direct":
-        q_entries = _betti_direct(I, i_max, j_max, rank_fn)
+        q_entries = _betti_direct(I, i_max, rank_fn)
     else:
         raise ContractViolation(f"unknown oracle method {method!r}")
     quotient = BettiTable(SUBJECT_QUOTIENT, i_max, q_entries)

@@ -13,7 +13,7 @@ import sys
 
 from .betti import compare_betti, stable_betti_table, tables_agree
 from .cartan import cartan_betti
-from .colex import colex_ideal
+from .colex import DEFAULT_AMBIENT_CAP, colex_ideal
 from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
 from .errors import AmbientCapExceeded, ContractViolation, OracleTooLarge
 from .ideals import MonomialIdeal, is_strongly_stable_ideal
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colex", help="build the colexsegment ideal of an ideal")
     p.add_argument("--input", required=True, help="ideal JSON file, or - for stdin")
-    p.add_argument("--m-cap", type=int, default=32, dest="m_cap")
+    p.add_argument("--m-cap", type=int, default=DEFAULT_AMBIENT_CAP, dest="m_cap")
     p.add_argument("--text", action="store_true", help="accept 'e1e3e4' generator strings")
     p.set_defaults(func=_cmd_colex)
 

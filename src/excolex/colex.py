@@ -9,7 +9,7 @@ ambient-stability can be checked by rerunning the greedy at larger m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 from .errors import (
@@ -29,6 +29,9 @@ from .monomials import (
     revlex_segment,
     shadow,
 )
+
+# Largest ambient size the construction scan tries unless told otherwise.
+DEFAULT_AMBIENT_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ def greedy_generators(profile: DegreeProfile, m: int) -> tuple[ColexStep, ...] |
     return tuple(steps)
 
 
-def colex_ideal(I: MonomialIdeal, m_cap: int = 32) -> ColexResult:
+def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> ColexResult:
     """The colexsegment ideal of I and the smallest workable ambient size.
 
     The scan starts at I's own ambient and only ever adds variables, matching
@@ -173,26 +176,10 @@ class RevlexConditionReport:
         return self.is_revlex == (self.holds_i or self.holds_ii)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d1": self.d1,
-            "d2": self.d2,
-            "dim_d1": self.dim_d1,
-            "dim_d2": self.dim_d2,
-            "dim_construction_d2": self.dim_construction_d2,
-            "threshold_i": self.threshold_i,
-            "holds_i": self.holds_i,
-            "a_size": self.a_size,
-            "c": self.c,
-            "holds_ii": self.holds_ii,
-            "is_revlex": self.is_revlex,
-            "consistent": self.consistent,
-        }
+        return {**asdict(self), "consistent": self.consistent}
 
 
-def revlex_conditions_two_degrees(
-    I: MonomialIdeal, m_cap: int = 32
-) -> RevlexConditionReport:
+def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:
     """Evaluate the two-degree revlex criteria and the direct check side by side.
 
     Condition (i): the degree-d1 dimension reaches C(n-2, d1). Condition (ii):
@@ -205,7 +192,7 @@ def revlex_conditions_two_degrees(
     if len(profile) != 2:
         raise HypothesisViolated("need an ideal generated in exactly two degrees")
     (d1, p1), (d2, p2) = profile
-    result = colex_ideal(I, m_cap)
+    result = colex_ideal(I)
     n = result.m
     if not d2 < n - 2:
         raise HypothesisViolated(f"need d2 < n-2, got d2 = {d2}, n = {n}")

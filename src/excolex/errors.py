@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the clipped repr of bad input."""
+
+import reprlib
+
+# Fixed limits: a deeply nested or huge entry costs little to show, while a
+# short entry reads as repr() shows it.
+_CLIP = reprlib.Repr()
+_CLIP.maxlevel, _CLIP.maxstring, _CLIP.maxother = 3, 60, 60
+_CLIP_CHARS = 100
+
+
+def clipped_repr(value) -> str:
+    """The repr of a value read from outside, at most _CLIP_CHARS characters long."""
+    text = _CLIP.repr(value)
+    return text if len(text) <= _CLIP_CHARS else text[: _CLIP_CHARS - 3] + "..."
 
 
 class ContractViolation(ValueError):

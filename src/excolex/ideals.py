@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ContractViolation
+from .errors import ContractViolation, clipped_repr
 from .monomials import (
     MAX_VARIABLES,
     Monomial,
@@ -50,7 +50,7 @@ class MonomialIdeal:
         object.__setattr__(self, "gens", gens)
         n = self.n
         if not 1 <= n <= MAX_VARIABLES:
-            raise ContractViolation(f"ambient size out of range: {n}")
+            raise ContractViolation(f"ambient size out of range: {clipped_repr(n)}")
         if not gens:
             raise ContractViolation("an ideal needs at least one generator")
         masks = [u.mask for u in gens]
@@ -112,9 +112,9 @@ class MonomialIdeal:
                 'ideal JSON must look like {"n": 5, "generators": [[1,2],[1,3,4]]}'
             ) from None
         if not isinstance(n, int) or isinstance(n, bool):
-            raise ContractViolation(f"ambient size must be an integer, got {n!r}")
+            raise ContractViolation(f"ambient size must be an integer, got {clipped_repr(n)}")
         if not isinstance(raw, list):
-            raise ContractViolation(f"generators must be a list, got {raw!r}")
+            raise ContractViolation(f"generators must be a list, got {clipped_repr(raw)}")
         gens = [parse_monomial(entry, allow_text=allow_text) for entry in raw]
         return minimalize(n, gens)
 
@@ -124,12 +124,12 @@ def parse_monomial(entry, allow_text: bool = True) -> Monomial:
     if isinstance(entry, str):
         if not allow_text:
             raise ContractViolation(
-                f"text monomial {entry!r} needs text parsing enabled"
+                f"text monomial {clipped_repr(entry)} needs text parsing enabled"
             )
         return Monomial.from_text(entry)
     if isinstance(entry, (list, tuple)):
         return Monomial.from_indices(entry)
-    raise ContractViolation(f"cannot parse monomial {entry!r}")
+    raise ContractViolation(f"cannot parse monomial {clipped_repr(entry)}")
 
 
 def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:

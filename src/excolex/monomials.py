@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ContractViolation, InsufficientMonomials
+from .errors import ContractViolation, InsufficientMonomials, clipped_repr
 
 # Masks stay machine-sized on purpose; 64 variables is far beyond desk scale.
 MAX_VARIABLES = 64
@@ -35,7 +35,7 @@ class Monomial(NamedTuple):
             # bool is an int subclass, but JSON true is not an index
             valid = isinstance(i, int) and not isinstance(i, bool)
             if not valid or not 1 <= i <= MAX_VARIABLES:
-                raise ContractViolation(f"variable index out of range: {i!r}")
+                raise ContractViolation(f"variable index out of range: {clipped_repr(i)}")
             bit = 1 << (i - 1)
             if mask & bit:
                 raise ContractViolation(f"repeated variable index: {i}")
@@ -49,11 +49,11 @@ class Monomial(NamedTuple):
         if s == "1":
             return cls(0)
         if not s.startswith("e") or s == "e":
-            raise ContractViolation(f"cannot parse monomial {text!r}")
+            raise ContractViolation(f"cannot parse monomial {clipped_repr(text)}")
         try:
             indices = [int(part) for part in s[1:].split("e")]
         except ValueError:
-            raise ContractViolation(f"cannot parse monomial {text!r}") from None
+            raise ContractViolation(f"cannot parse monomial {clipped_repr(text)}") from None
         return cls.from_indices(indices)
 
     @property

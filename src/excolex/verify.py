@@ -13,7 +13,7 @@ bounds n_max and i_max onto the campaign's keywords.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -27,6 +27,7 @@ from .betti import (
 )
 from .cartan import cartan_betti, chain_space, differential
 from .colex import (
+    DEFAULT_AMBIENT_CAP,
     colex_ideal,
     is_revlex_ideal,
     revlex_condition_single_degree,
@@ -68,14 +69,7 @@ class VerificationReport:
         return "verified" if self.instances > 0 else "skipped"
 
     def as_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "universe": self.universe,
-            "instances": self.instances,
-            "failures": self.failures,
-            "notes": self.notes,
-            "status": self.status,
-        }
+        return {**asdict(self), "status": self.status}
 
 
 def _run(claim: str, universe: dict, *parts: tuple[Iterable, Callable]) -> VerificationReport:
@@ -106,7 +100,7 @@ def _stable_sets(n_max: int) -> Iterator[tuple[int, tuple[Monomial, ...]]]:
                 yield n, mset
 
 
-def verify_green(n_max: int = 5, m_cap: int = 32) -> VerificationReport:
+def verify_green(n_max: int = 5) -> VerificationReport:
     """The segment construction never loses low-index monomials, componentwise.
 
     For every strongly stable ideal with at most two generator degrees, every
@@ -116,7 +110,7 @@ def verify_green(n_max: int = 5, m_cap: int = 32) -> VerificationReport:
     """
 
     def check(I: MonomialIdeal):
-        result = colex_ideal(I, m_cap)
+        result = colex_ideal(I)
         big = result.m
         I_big = I.reembed(big)
         for t in range(I_big.indeg, big + 1):
@@ -135,7 +129,7 @@ def verify_green(n_max: int = 5, m_cap: int = 32) -> VerificationReport:
                         "rhs": rhs,
                     }
 
-    universe = {"n_max": n_max, "max_degrees": 2, "m_cap": m_cap}
+    universe = {"n_max": n_max, "max_degrees": 2, "m_cap": DEFAULT_AMBIENT_CAP}
     return _run("green", universe, (_stable_ideals(n_max), check))
 
 

@@ -314,6 +314,25 @@ def test_oracle_cell_guard():
         cartan_betti(ideal(6, "e1e2e3e4e5e6"), 6, max_cell_dim=100)
 
 
+@pytest.mark.parametrize(
+    "n, i_max, cell, top_degree",
+    [(8, 5, (6, 9, 68640), 8), (40, 4, (0, 4, 89355), 4)],
+    ids=["n8", "n40"],
+)
+def test_guard_stops_at_the_first_cell_over_the_cap(n, i_max, cell, top_degree):
+    real = cartan._survivor_masks
+
+    def spy(I, d):
+        # the cells run i ascending, then j: degree d is first reached at (0, d)
+        assert d <= top_degree, f"degree {d} counted past the refused cell"
+        return real(I, d)
+
+    with patch.object(cartan, "_survivor_masks", spy):
+        with pytest.raises(OracleTooLarge) as refusal:
+            cartan_betti(ideal(n, "e1e2", "e1e3", "e2e3"), i_max)
+    assert (refusal.value.i, refusal.value.j, refusal.value.dim) == cell
+
+
 def test_oracle_requires_room_for_the_shift():
     with pytest.raises(ContractViolation):
         cartan_betti(ideal(2, "e1e2"), 0)
@@ -348,6 +367,13 @@ def unpruned_quotient(I, i_max, prime):
 def test_pruned_strands_match_all_supports(I, i_max, prime):
     tables = cartan_betti(I, i_max, prime=prime)
     assert tables.quotient.entries == unpruned_quotient(I, i_max, prime)
+
+
+@given(small_ideals(n_max=5), st.integers(1, 4), st.sampled_from([None, 3]))
+@settings(max_examples=60, deadline=None)
+def test_direct_assembly_matches_strands_at_random(I, i_max, prime):
+    direct = cartan_betti(I, i_max, method="direct", prime=prime)
+    assert direct == cartan_betti(I, i_max, prime=prime)
 
 
 @given(small_ideals())

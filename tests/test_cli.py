@@ -255,6 +255,24 @@ def test_deeply_nested_input_is_usage_error(capsys, tmp_path):
     assert not out and "nested too deeply" in err
 
 
+def nested(depth):
+    entry = []
+    for _ in range(depth - 1):
+        entry = [entry]
+    return entry
+
+
+@pytest.mark.parametrize(
+    "entry, flags", [(nested(500), ()), ("e1" + "x" * 3000, ("--text",))],
+    ids=["nested-entry", "long-text-entry"],
+)
+def test_error_clips_the_echoed_entry(capsys, tmp_path, entry, flags):
+    path = write_ideal(tmp_path, "bad.json", {"n": 3, "generators": [entry]})
+    code, out, err = run(capsys, "colex", "--input", path, *flags)
+    assert code == 2
+    assert not out and err.startswith("error: ") and len(err) < 200
+
+
 def test_composite_field_is_usage_error(capsys, ex_small):
     code, out, err = run(capsys, "betti", "--input", ex_small, "--oracle", "--field", "4")
     assert code == 2
