@@ -7,10 +7,11 @@ Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ContractViolation, FormulaInapplicable, ProfileMismatch
+from .errors import ContractViolation, FormulaInapplicable, ProfileMismatch, clipped_repr
 from .ideals import MonomialIdeal, is_strongly_stable_ideal
 
 SUBJECT_IDEAL = "ideal"
@@ -39,7 +40,7 @@ class BettiTable:
         if self.subject not in (SUBJECT_IDEAL, SUBJECT_QUOTIENT):
             raise ContractViolation(f"unknown table subject {self.subject!r}")
         if self.i_max < 0:
-            raise ContractViolation(f"negative homological cutoff: {self.i_max}")
+            raise ContractViolation(f"negative homological cutoff: {clipped_repr(self.i_max)}")
         cleaned = {}
         for (i, j), v in self.entries.items():
             if v < 0:
@@ -89,18 +90,17 @@ def tables_agree(left: BettiTable, right: BettiTable, i_bound: int) -> bool:
 def stable_betti_table(I: MonomialIdeal, i_max: int) -> BettiTable:
     """The closed-form table of a strongly stable ideal (subject: the ideal)."""
     if i_max < 0:
-        raise ContractViolation(f"negative homological cutoff: {i_max}")
+        raise ContractViolation(f"negative homological cutoff: {clipped_repr(i_max)}")
     if not is_strongly_stable_ideal(I):
         raise FormulaInapplicable(
             "closed form needs a strongly stable ideal; use the homology oracle instead"
         )
     entries: dict[tuple[int, int], int] = {}
-    for u in I.gens:
-        m = u.max_index
-        t = u.degree
+    # generators of one degree t and one largest index m add the same summands
+    for (t, m), count in Counter((u.degree, u.max_index) for u in I.gens).items():
         for i in range(i_max + 1):
             key = (i, i + t)
-            entries[key] = entries.get(key, 0) + comb(m + i - 1, m - 1)
+            entries[key] = entries.get(key, 0) + count * comb(m + i - 1, m - 1)
     return BettiTable(SUBJECT_IDEAL, i_max, entries)
 
 
@@ -158,16 +158,15 @@ def compare_betti(
     unless precomputed tables (e.g. from the homology oracle) are supplied.
     """
     if i_max < 0:
-        raise ContractViolation(f"negative homological cutoff: {i_max}")
+        raise ContractViolation(f"negative homological cutoff: {clipped_repr(i_max)}")
     ti = table_i if table_i is not None else stable_betti_table(I, i_max)
     tj = table_j if table_j is not None else stable_betti_table(J, i_max)
     if ti.i_max < i_max or tj.i_max < i_max:
         raise ContractViolation("supplied tables do not reach the comparison cutoff")
-    below = [i for i in range(i_max + 1) if tj.total(i) < ti.total(i)]
-    above = [i for i in range(i_max + 1) if tj.total(i) > ti.total(i)]
-    equal = tuple(
-        i for i in range(i_max + 1) if i not in set(below) and i not in set(above)
-    )
+    left, right = ti.totals(), tj.totals()
+    below = [i for i in range(i_max + 1) if right[i] < left[i]]
+    above = [i for i in range(i_max + 1) if right[i] > left[i]]
+    equal = tuple(i for i in range(i_max + 1) if right[i] == left[i])
     if not below and not above:
         mode, strict = MODE_EQUAL, ()
     elif not above:

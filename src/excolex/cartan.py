@@ -28,9 +28,9 @@ from math import comb, gcd, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .betti import SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
-from .errors import ContractViolation, OracleTooLarge
+from .errors import ContractViolation, OracleTooLarge, clipped_repr
 from .ideals import MonomialIdeal
-from .monomials import Monomial, iter_degree_masks, sign_exponent
+from .monomials import Monomial, iter_degree_masks
 
 DEFAULT_PRIME = 32003
 DEFAULT_CELL_CAP = 50_000
@@ -90,6 +90,23 @@ def chain_space(I: MonomialIdeal, i: int, j: int) -> list[CartanBasisElement]:
     return [CartanBasisElement(s, a) for s in survivors for a in powers]
 
 
+def _boundary_terms(mask: int, powers: tuple, gen_masks: list[int]) -> list[tuple]:
+    """``differential`` on the monomial's mask, as (sign, mask, powers) terms."""
+    out = []
+    for k, a_k in enumerate(powers):
+        bit = 1 << k
+        if a_k == 0 or mask & bit:
+            continue
+        grown = mask | bit
+        for g in gen_masks:
+            if g & grown == g:
+                break
+        else:
+            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+            out.append((sign, grown, powers[:k] + (a_k - 1,) + powers[k + 1:]))
+    return out
+
+
 def differential(
     elem: CartanBasisElement, I: MonomialIdeal
 ) -> list[tuple[int, CartanBasisElement]]:
@@ -101,18 +118,8 @@ def differential(
     """
     if elem.homological_degree < 1:
         raise ContractViolation("boundary needs homological degree at least 1")
-    mono, powers = elem
-    out: list[tuple[int, CartanBasisElement]] = []
-    for k, a_k in enumerate(powers, start=1):
-        if a_k == 0 or mono.contains(k):
-            continue
-        grown = mono.with_index(k)
-        if I.contains(grown):
-            continue
-        sign = -1 if sign_exponent(mono, k) & 1 else 1
-        lowered = powers[: k - 1] + (a_k - 1,) + powers[k:]
-        out.append((sign, CartanBasisElement(grown, lowered)))
-    return out
+    terms = _boundary_terms(elem.mono.mask, elem.powers, [g.mask for g in I.gens])
+    return [(sign, CartanBasisElement(Monomial(m), a)) for sign, m, a in terms]
 
 
 @lru_cache(maxsize=None, typed=True)  # a rejected p raises, so is never cached
@@ -120,7 +127,7 @@ def _require_prime(p: int) -> None:
     """Reject a field size that is not a prime below 2**31 (trial division)."""
     small = type(p) is int and 2 <= p < 2**31  # bool and float are not field sizes
     if not (small and all(p % k for k in range(2, isqrt(p) + 1))):
-        raise ContractViolation(f"field size must be a prime below 2**31, got {p!r}")
+        raise ContractViolation(f"field size must be a prime below 2**31, got {clipped_repr(p)}")
 
 
 def _rank(rows: Iterable[list[int] | dict[int, int]], p: int | None) -> int:
@@ -265,6 +272,7 @@ def _betti_by_strands(
 
 def _betti_direct(I: MonomialIdeal, i_max: int, rank_fn) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
+    gen_masks = [g.mask for g in I.gens]
     for j in range(I.n + i_max + 1):  # the differential keeps the internal degree
         spaces = [chain_space(I, i, j) for i in range(i_max + 2)]
         ranks = []  # ranks[i]: the boundary from level i + 1 down to level i
@@ -272,11 +280,11 @@ def _betti_direct(I: MonomialIdeal, i_max: int, rank_fn) -> dict[tuple[int, int]
             if not src or not dst:
                 ranks.append(0)
                 continue
-            position = {elem: c for c, elem in enumerate(dst)}
-            rows = [
-                {position[target]: sign for sign, target in differential(elem, I)}
-                for elem in src
-            ]
+            position = {(e.mono.mask, e.powers): c for c, e in enumerate(dst)}
+            rows = []  # one row per source element: its boundary
+            for e in src:
+                terms = _boundary_terms(e.mono.mask, e.powers, gen_masks)
+                rows.append({position[m, a]: sign for sign, m, a in terms})
             ranks.append(rank_fn(rows))
         # level i_max + 1 misses its outgoing rank; only lower levels are kept
         for i, h in _homology([len(space) for space in spaces], ranks).items():

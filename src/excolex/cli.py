@@ -15,7 +15,7 @@ from .betti import compare_betti, stable_betti_table, tables_agree
 from .cartan import cartan_betti
 from .colex import DEFAULT_AMBIENT_CAP, colex_ideal
 from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
-from .errors import AmbientCapExceeded, ContractViolation, OracleTooLarge
+from .errors import AmbientCapExceeded, ContractViolation, OracleTooLarge, clipped_repr
 from .ideals import MonomialIdeal, is_strongly_stable_ideal
 from .monomials import MAX_VARIABLES
 from .verify import CLAIMS, run_claim
@@ -35,6 +35,10 @@ def _read_ideal(path: str, allow_text: bool) -> MonomialIdeal:
                 data = json.load(fh)
     except RecursionError:  # the decoder recurses once per nested array or object
         raise ContractViolation(f"{path}: JSON nested too deeply to decode") from None
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise  # reported by main, with the position of the fault
+    except ValueError:  # an integer literal over the interpreter's conversion limit
+        raise ContractViolation(f"{path}: integer literal too long to decode") from None
     return MonomialIdeal.from_dict(data, allow_text=allow_text)
 
 
@@ -99,9 +103,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if not 1 <= args.n <= MAX_VARIABLES:
-        raise ContractViolation(f"--n must lie in 1..{MAX_VARIABLES}, got {args.n}")
+        raise ContractViolation(f"--n must lie in 1..{MAX_VARIABLES}, got {clipped_repr(args.n)}")
     if args.d is not None and not 1 <= args.d <= args.n:
-        raise ContractViolation(f"--d must lie in 1..{args.n}, got {args.d}")
+        raise ContractViolation(f"--d must lie in 1..{args.n}, got {clipped_repr(args.d)}")
     if args.ideals:
         if args.d is not None:
             # restrict to ideals generated exactly in degree d

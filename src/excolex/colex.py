@@ -18,8 +18,9 @@ from .errors import (
     DegreeTooHigh,
     HypothesisViolated,
     NotARevlexSegment,
+    clipped_repr,
 )
-from .ideals import DegreeProfile, MonomialIdeal, degree_profile, graded_component
+from .ideals import DegreeProfile, MonomialIdeal, component_masks, degree_profile
 from .monomials import (
     Monomial,
     common_degree,
@@ -92,7 +93,7 @@ def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> ColexResu
     assumed monotone in m; every candidate reruns the greedy from scratch.
     """
     if m_cap < I.n:
-        raise ContractViolation(f"m_cap {m_cap} below the ambient size {I.n}")
+        raise ContractViolation(f"m_cap {clipped_repr(m_cap)} below the ambient size {I.n}")
     profile = degree_profile(I)
     for m in range(I.n, m_cap + 1):
         steps = greedy_generators(profile, m)
@@ -117,11 +118,23 @@ def is_revlex_segment(monos, n: int) -> bool:
 
 
 def is_revlex_ideal(I: MonomialIdeal) -> bool:
-    """Every graded component from the initial degree up is a revlex segment."""
-    return all(
-        is_revlex_segment(graded_component(I, t), I.n)
-        for t in range(I.indeg, I.n + 1)
-    )
+    """Every graded component from the initial degree up is a revlex segment:
+    along the ascending masks of each degree, no member follows a non-member."""
+    masks = [u.mask for u in I.gens]
+    for t in range(I.indeg, I.n + 1):
+        gen_masks = [g for g in masks if g.bit_count() <= t]
+        outside = False  # a non-member of degree t seen already
+        for m in iter_degree_masks(I.n, t):
+            for g in gen_masks:
+                if g & m == g:
+                    if outside:
+                        return False
+                    break
+            else:
+                outside = True
+        if not outside:  # every degree-t monomial is in, so every higher one is
+            return True
+    return True
 
 
 def segment_shadow_conditions(monos, n: int) -> tuple[bool, bool, bool]:
@@ -196,10 +209,9 @@ def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:
     n = result.m
     if not d2 < n - 2:
         raise HypothesisViolated(f"need d2 < n-2, got d2 = {d2}, n = {n}")
-    I_n = I.reembed(n)
-    dim_d1 = len(graded_component(I_n, d1))
-    dim_d2 = len(graded_component(I_n, d2))
-    dim_construction_d2 = len(graded_component(result.ideal, d2))
+    dim_d1 = p1  # the initial-degree component is spanned by its generators
+    dim_d2 = len(component_masks([u.mask for u in I.gens], n, d2))
+    dim_construction_d2 = len(component_masks([u.mask for u in result.ideal.gens], n, d2))
     threshold_i = comb(n - 2, d1)
     holds_i = dim_d1 >= threshold_i
     a_size = sum(comb(r, d1) for r in range(d1, n - 1))

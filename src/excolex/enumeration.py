@@ -21,11 +21,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .ideals import MonomialIdeal, component_masks, minimalize
-from .monomials import Monomial, borel_reductions, iter_degree_masks
-
-
-def _reduction_masks(mask: int) -> tuple[int, ...]:
-    return tuple(v.mask for v in borel_reductions(Monomial(mask)))
+from .monomials import Monomial, borel_move_masks, iter_degree_masks
 
 
 def _facet_masks(mask: int) -> tuple[int, ...]:
@@ -82,7 +78,7 @@ def enumerate_strongly_stable_sets(n: int, d: int) -> Iterator[tuple[Monomial, .
     Yields tuples sorted in decreasing revlex order; the stream order is
     deterministic.
     """
-    walk = _down_sets(list(iter_degree_masks(n, d)), _reduction_masks, set(), None)
+    walk = _down_sets(list(iter_degree_masks(n, d)), borel_move_masks, set(), None)
     next(walk)  # the empty set comes first
     for chosen in walk:
         yield tuple(chosen)
@@ -102,7 +98,7 @@ def enumerate_strongly_stable_supersets(
     base_masks = {u.mask for u in base}
     elems = [m for m in iter_degree_masks(n, d) if m not in base_masks]
     base_monos = [Monomial(m) for m in base_masks]
-    for chosen in _down_sets(elems, _reduction_masks, base_masks, max_extra):
+    for chosen in _down_sets(elems, borel_move_masks, base_masks, max_extra):
         yield tuple(sorted(base_monos + chosen))
 
 

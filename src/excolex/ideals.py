@@ -13,6 +13,7 @@ of a single degree is minimal as soon as it has no duplicates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,7 +21,7 @@ from .errors import ContractViolation, clipped_repr
 from .monomials import (
     MAX_VARIABLES,
     Monomial,
-    borel_reductions,
+    borel_move_masks,
     is_strongly_stable,
     iter_degree_masks,
 )
@@ -179,15 +180,20 @@ def graded_component(I: MonomialIdeal, t: int) -> set[Monomial]:
 
 
 def degree_profile(I: MonomialIdeal) -> DegreeProfile:
-    counts: dict[int, int] = {}
-    for u in I.gens:
-        counts[u.degree] = counts.get(u.degree, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(Counter(u.mask.bit_count() for u in I.gens).items()))
 
 
 def is_strongly_stable_ideal(I: MonomialIdeal) -> bool:
     """Every index-lowering move of every generator stays inside the ideal."""
-    return all(I.contains(v) for u in I.gens for v in borel_reductions(u))
+    masks = [u.mask for u in I.gens]
+    members = set(masks)
+    for k, u in enumerate(masks):
+        for v in borel_move_masks(u):
+            # a move keeps u's degree: it is a generator, or a multiple of one
+            # of lower degree, listed before u
+            if v not in members and not any(g & v == g for g in masks[:k]):
+                return False
+    return True
 
 
 def is_strongly_stable_ideal_componentwise(I: MonomialIdeal) -> bool:

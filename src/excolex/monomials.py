@@ -248,15 +248,23 @@ def max_index_counts(monos: Iterable[Monomial]) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def borel_reductions(u: Monomial) -> Iterator[Monomial]:
-    """Monomials reached from u by one index-lowering move j -> i, i < j unused."""
-    for j in u.indices:
-        free_below = ~u.mask & ((1 << (j - 1)) - 1)
-        moved_base = u.mask ^ (1 << (j - 1))
+def borel_move_masks(mask: int) -> Iterator[int]:
+    """Masks reached from ``mask`` by one index-lowering move j -> i, i < j unused."""
+    rest = mask
+    while rest:
+        j_bit = rest & -rest
+        rest ^= j_bit
+        free_below = ~mask & (j_bit - 1)
+        base = mask ^ j_bit
         while free_below:
             bit = free_below & -free_below
-            yield Monomial(moved_base | bit)
+            yield base | bit
             free_below ^= bit
+
+
+def borel_reductions(u: Monomial) -> Iterator[Monomial]:
+    """Monomials reached from u by one index-lowering move j -> i, i < j unused."""
+    return map(Monomial, borel_move_masks(u.mask))
 
 
 def _closed_under_moves(monos: Iterable[Monomial], largest_only: bool) -> bool:
@@ -264,10 +272,10 @@ def _closed_under_moves(monos: Iterable[Monomial], largest_only: bool) -> bool:
     monos = set(monos)
     common_degree(monos)
     masks = {u.mask for u in monos}
-    for u in monos:
-        for v in borel_reductions(u):
-            lowers_largest = v.max_index < u.max_index
-            if (lowers_largest or not largest_only) and v.mask not in masks:
+    for u in masks:
+        for v in borel_move_masks(u):
+            lowers_largest = v.bit_length() < u.bit_length()
+            if (lowers_largest or not largest_only) and v not in masks:
                 return False
     return True
 

@@ -20,7 +20,8 @@ from excolex.cartan import (
 )
 from excolex.errors import ContractViolation, OracleTooLarge
 from excolex.ideals import minimalize
-from excolex.monomials import Monomial
+from excolex.monomials import Monomial, sign_exponent
+from excolex.verify import _boundary_squared_failures
 
 M = Monomial.from_text
 
@@ -69,6 +70,13 @@ def test_degrees_of_elements():
 
 
 # --- the boundary map --------------------------------------------------------------
+
+@st.composite
+def small_ideals(draw, n_max=6):
+    n = draw(st.integers(1, n_max))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
+    return minimalize(n, [Monomial(m) for m in masks])
+
 
 def test_boundary_of_unit_power():
     I = ideal(2, "e2")
@@ -138,6 +146,44 @@ def test_boundary_preserves_internal_degree():
         for _, target in differential(elem, I):
             assert target.internal_degree == elem.internal_degree
             assert target.homological_degree == elem.homological_degree - 1
+
+
+def reference_differential(elem, I):
+    """The boundary term by term, as the module docstring states it."""
+    mono, powers = elem
+    out = []
+    for k, a_k in enumerate(powers, start=1):
+        if a_k == 0 or mono.contains(k) or I.contains(mono.with_index(k)):
+            continue
+        lowered = powers[: k - 1] + (a_k - 1,) + powers[k:]
+        sign = (-1) ** sign_exponent(mono, k)
+        out.append((sign, CartanBasisElement(mono.with_index(k), lowered)))
+    return out
+
+
+@given(small_ideals(n_max=5), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_boundary_matches_the_literal_reference(I, i):
+    for j in range(i, I.n + i + 1):
+        for elem in chain_space(I, i, j):
+            assert differential(elem, I) == reference_differential(elem, I)
+
+
+@pytest.mark.parametrize("I", [ideal(3, "e1e2e3"), ideal(4, "e1e2", "e3e4")])
+def test_boundary_squared_check_catches_a_flipped_sign(I):
+    assert list(_boundary_squared_failures(I, 3)) == []
+    real = cartan._boundary_terms
+
+    def one_sign_flipped(mask, powers, gen_masks):
+        terms = real(mask, powers, gen_masks)
+        if terms:  # the first term of every boundary changes sign
+            sign, grown, lowered = terms[0]
+            terms[0] = (-sign, grown, lowered)
+        return terms
+
+    with patch.object(cartan, "_boundary_terms", one_sign_flipped):
+        witnesses = list(_boundary_squared_failures(I, 3))
+    assert [w["case"] for w in witnesses] == ["boundary squared"]
 
 
 def test_boundary_needs_positive_degree():
@@ -339,13 +385,6 @@ def test_oracle_requires_room_for_the_shift():
 
 
 # --- the LCM lattice ---------------------------------------------------------------
-
-@st.composite
-def small_ideals(draw, n_max=6):
-    n = draw(st.integers(1, n_max))
-    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
-    return minimalize(n, [Monomial(m) for m in masks])
-
 
 def unpruned_quotient(I, i_max, prime):
     """The quotient table summed over all 2^n strands, cones included."""

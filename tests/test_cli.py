@@ -273,6 +273,40 @@ def test_error_clips_the_echoed_entry(capsys, tmp_path, entry, flags):
     assert not out and err.startswith("error: ") and len(err) < 200
 
 
+def test_overlong_integer_literal_is_usage_error(capsys, tmp_path):
+    # the decoder refuses integer literals over 4300 digits with a ValueError
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": ' + "9" * 5000 + ', "generators": [[1]]}')
+    code, out, err = run(capsys, "colex", "--input", str(path))
+    assert code == 2
+    assert not out and err.startswith("error: ") and len(err) < 200
+
+
+HUGE = "9" * 4000
+NEGATIVE = "-" + "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", HUGE],
+        ["enumerate", "--n", "4", "--d", HUGE],
+        ["colex", "--input", "{ideal}", "--m-cap", NEGATIVE],
+        ["verify", "--claim", "lemma41", "--n-max", NEGATIVE],
+        ["verify", "--claim", "lemma41", "--i-max", NEGATIVE],
+        ["betti", "--input", "{ideal}", "--i-max", NEGATIVE],
+        ["compare", "--left", "{ideal}", "--right", "{ideal}", "--i-max", NEGATIVE],
+        ["betti", "--input", "{ideal}", "--oracle", "--field", HUGE],
+    ],
+    ids=["enumerate-n", "enumerate-d", "colex-m-cap", "verify-n-max", "verify-i-max",
+         "betti-i-max", "compare-i-max", "betti-field"],
+)
+def test_error_clips_an_echoed_command_line_integer(capsys, ex_small, argv):
+    code, out, err = run(capsys, *(ex_small if a == "{ideal}" else a for a in argv))
+    assert code == 2
+    assert not out and err.startswith("error: ") and len(err) < 200
+
+
 def test_composite_field_is_usage_error(capsys, ex_small):
     code, out, err = run(capsys, "betti", "--input", ex_small, "--oracle", "--field", "4")
     assert code == 2

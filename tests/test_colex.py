@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from excolex.colex import (
     colex_ideal,
@@ -21,7 +23,13 @@ from excolex.errors import (
     HypothesisViolated,
     NotARevlexSegment,
 )
-from excolex.ideals import MonomialIdeal, degree_profile, minimalize
+from excolex.ideals import (
+    MonomialIdeal,
+    degree_profile,
+    graded_component,
+    is_strongly_stable_ideal,
+    minimalize,
+)
 from excolex.monomials import Monomial, monomials_of_degree, revlex_segment
 
 M = Monomial.from_text
@@ -121,6 +129,32 @@ def test_is_revlex_ideal_for_one_variable_generator():
     assert is_revlex_ideal(ideal(2, "e1"))
     assert is_revlex_ideal(ideal(3, "e1"))
     assert not is_revlex_ideal(ideal(4, "e1"))
+
+
+@st.composite
+def revlex_test_ideals(draw, n_max=7):
+    """Ideals with n <= 7: unions of two revlex segments, revlex or not, and
+    random generator sets, mostly neither revlex nor strongly stable."""
+    n = draw(st.integers(1, n_max))
+    if draw(st.booleans()):
+        gens = []
+        for _ in range(2):
+            d = draw(st.integers(1, n))
+            gens += revlex_segment(n, d, draw(st.integers(1, comb(n, d))))
+    else:
+        masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+        gens = [Monomial(m) for m in masks]
+    return minimalize(n, gens)
+
+
+@given(revlex_test_ideals())
+@settings(max_examples=400, deadline=None)
+def test_is_revlex_ideal_matches_its_componentwise_definition(I):
+    expected = all(
+        is_revlex_segment(graded_component(I, t), I.n) for t in range(I.indeg, I.n + 1)
+    )
+    event(f"revlex: {expected}, strongly stable: {is_strongly_stable_ideal(I)}")
+    assert is_revlex_ideal(I) == expected
 
 
 def test_segment_shadow_conditions_examples():

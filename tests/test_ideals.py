@@ -1,9 +1,12 @@
 """Ideal layer: minimal generators, graded components, stability, profiles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excolex.enumeration import enumerate_strongly_stable_ideals
 from excolex.errors import ContractViolation
 from excolex.ideals import (
     MonomialIdeal,
@@ -114,10 +117,44 @@ def all_proper_ideals(n):
     return found
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+# ideals where a Borel move of a generator is a multiple of a generator of
+# lower degree only: e1e3 and e1e2, the moves of e2e3, lie in (e1); the last
+# two are not strongly stable, as e2e4 and e1e4e5 lie outside
+LOWER_DEGREE_COVERS = (
+    ("e1", "e2e3"),
+    ("e1", "e2e3", "e2e4e5"),
+    ("e1e2", "e1e3", "e2e3", "e1e4e5", "e2e4e5", "e3e4e5"),
+    ("e1", "e3e4"),
+    ("e1e2", "e1e3", "e2e4e5"),
+)
+
+
+def mixed_degree_ideals(n, count, seed):
+    """Ideals with generators in at least two degrees: the lower-degree covers,
+    then seeded ones, namely strongly stable ones from the enumeration, each
+    also with one generator swapped for a random mask, and random ones."""
+    rng = random.Random(seed)
+    stable = [
+        I for I in enumerate_strongly_stable_ideals(n) if len(degree_profile(I)) > 1
+    ]
+    out = [ideal(n, *texts) for texts in LOWER_DEGREE_COVERS]
+    for I in rng.sample(stable, count):
+        out.append(I)
+        masks = [u.mask for u in I.gens]
+        masks[rng.randrange(len(masks))] = rng.randrange(1, 1 << n)
+        out.append(minimalize(n, [Monomial(m) for m in masks]))
+        out.append(minimalize(n, [Monomial(rng.randrange(1, 1 << n)) for _ in range(4)]))
+    return [I for I in out if len(degree_profile(I)) > 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_generator_test_agrees_with_componentwise(n):
-    for I in all_proper_ideals(n):
+    # every proper ideal up to n = 4; seeded mixed-degree ones at n = 5 and 6
+    ideals = all_proper_ideals(n) if n <= 4 else mixed_degree_ideals(n, 60, seed=n)
+    verdicts = {is_strongly_stable_ideal_componentwise(I) for I in ideals}
+    for I in ideals:
         assert is_strongly_stable_ideal(I) == is_strongly_stable_ideal_componentwise(I)
+    assert n == 1 or verdicts == {True, False}  # both answers are exercised
 
 
 def test_single_degree_component_is_generator_set():
