@@ -46,6 +46,7 @@ from .errors import (
     NotARevlexSegment,
     OracleTooLarge,
     ProfileMismatch,
+    TableTooLarge,
 )
 from .ideals import (
     MonomialIdeal,

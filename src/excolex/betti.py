@@ -11,7 +11,13 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ContractViolation, FormulaInapplicable, ProfileMismatch, clipped_repr
+from .errors import (
+    ContractViolation,
+    FormulaInapplicable,
+    ProfileMismatch,
+    TableTooLarge,
+    clipped_repr,
+)
 from .ideals import MonomialIdeal, is_strongly_stable_ideal
 
 SUBJECT_IDEAL = "ideal"
@@ -21,6 +27,10 @@ MODE_LOWER = "LowerBoundAllChecked"
 MODE_UPPER = "UpperBoundAllChecked"
 MODE_EQUAL = "EqualAllChecked"
 MODE_INCOMPARABLE = "Incomparable"
+
+# Most cells (i, i + t) a closed-form table builds: one per homological degree
+# i <= i_max and generator degree t.
+MAX_TABLE_CELLS = 10_000
 
 
 @dataclass(frozen=True, eq=True)
@@ -56,7 +66,10 @@ class BettiTable:
         return sum(v for (ii, _), v in self.entries.items() if ii == i)
 
     def totals(self) -> dict[int, int]:
-        return {i: self.total(i) for i in range(self.i_max + 1)}
+        sums = dict.fromkeys(range(self.i_max + 1), 0)
+        for (i, _), v in self.entries.items():
+            sums[i] += v
+        return sums
 
     def row(self, i: int) -> dict[int, int]:
         return dict(
@@ -64,16 +77,16 @@ class BettiTable:
         )
 
     def as_dict(self) -> dict:
+        # one pass over the entries, not one per row
+        by_i: dict[int, dict[str, int]] = {i: {} for i in range(self.i_max + 1)}
+        for (i, j), v in sorted(self.entries.items()):
+            by_i[i][str(j)] = v
+        totals = self.totals()
         return {
             "subject": self.subject,
             "i_max": self.i_max,
             "rows": [
-                {
-                    "i": i,
-                    "by_j": {str(j): v for j, v in self.row(i).items()},
-                    "total": self.total(i),
-                }
-                for i in range(self.i_max + 1)
+                {"i": i, "by_j": by_j, "total": totals[i]} for i, by_j in by_i.items()
             ],
         }
 
@@ -95,9 +108,13 @@ def stable_betti_table(I: MonomialIdeal, i_max: int) -> BettiTable:
         raise FormulaInapplicable(
             "closed form needs a strongly stable ideal; use the homology oracle instead"
         )
-    entries: dict[tuple[int, int], int] = {}
     # generators of one degree t and one largest index m add the same summands
-    for (t, m), count in Counter((u.degree, u.max_index) for u in I.gens).items():
+    groups = Counter((u.degree, u.max_index) for u in I.gens)
+    degrees = len({t for t, _ in groups})
+    if (i_max + 1) * degrees > MAX_TABLE_CELLS:
+        raise TableTooLarge(i_max, degrees, MAX_TABLE_CELLS)
+    entries: dict[tuple[int, int], int] = {}
+    for (t, m), count in groups.items():
         for i in range(i_max + 1):
             key = (i, i + t)
             entries[key] = entries.get(key, 0) + count * comb(m + i - 1, m - 1)

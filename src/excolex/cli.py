@@ -15,7 +15,13 @@ from .betti import compare_betti, stable_betti_table, tables_agree
 from .cartan import cartan_betti
 from .colex import DEFAULT_AMBIENT_CAP, colex_ideal
 from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
-from .errors import AmbientCapExceeded, ContractViolation, OracleTooLarge, clipped_repr
+from .errors import (
+    AmbientCapExceeded,
+    ContractViolation,
+    OracleTooLarge,
+    TableTooLarge,
+    clipped_repr,
+)
 from .ideals import MonomialIdeal, is_strongly_stable_ideal
 from .monomials import MAX_VARIABLES
 from .verify import CLAIMS, run_claim
@@ -126,8 +132,24 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _int(text: str) -> int:
+    """The type of every integer option: a bad token is echoed clipped."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clipped_repr(text)}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, like every other error; ``-h`` prints
+    the usage synopsis."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message} (see {self.prog} -h)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="excolex",
         description=(
             "Colexsegment ideals, Betti tables, and exhaustive desk-scale "
@@ -138,16 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colex", help="build the colexsegment ideal of an ideal")
     p.add_argument("--input", required=True, help="ideal JSON file, or - for stdin")
-    p.add_argument("--m-cap", type=int, default=DEFAULT_AMBIENT_CAP, dest="m_cap")
+    p.add_argument("--m-cap", type=_int, default=DEFAULT_AMBIENT_CAP, dest="m_cap")
     p.add_argument("--text", action="store_true", help="accept 'e1e3e4' generator strings")
     p.set_defaults(func=_cmd_colex)
 
     p = sub.add_parser("betti", help="closed-form Betti table of a strongly stable ideal")
     p.add_argument("--input", required=True)
-    p.add_argument("--i-max", type=int, default=10, dest="i_max")
+    p.add_argument("--i-max", type=_int, default=10, dest="i_max")
     p.add_argument("--oracle", action="store_true", help="also run the homology oracle")
-    p.add_argument("--oracle-i-max", type=int, default=4, dest="oracle_i_max")
-    p.add_argument("--field", type=int, default=None,
+    p.add_argument("--oracle-i-max", type=_int, default=4, dest="oracle_i_max")
+    p.add_argument("--field", type=_int, default=None,
                    help="prime field size for the oracle (default: exact rationals)")
     p.add_argument("--text", action="store_true")
     p.set_defaults(func=_cmd_betti)
@@ -155,20 +177,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare total Betti numbers of two ideals")
     p.add_argument("--left", required=True, help="ideal I")
     p.add_argument("--right", required=True, help="ideal J, compared against I")
-    p.add_argument("--i-max", type=int, default=10, dest="i_max")
+    p.add_argument("--i-max", type=_int, default=10, dest="i_max")
     p.add_argument("--text", action="store_true")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("verify", help="run a named verification campaign")
     p.add_argument("--claim", required=True, choices=CLAIMS)
-    p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.add_argument("--i-max", type=int, default=None, dest="i_max")
+    p.add_argument("--n-max", type=_int, default=None, dest="n_max")
+    p.add_argument("--i-max", type=_int, default=None, dest="i_max")
     p.add_argument("--json", default=None, help="also write the report to this file")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream strongly stable sets or ideals")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--d", type=_int, default=None)
     p.add_argument("--ideals", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -183,7 +205,7 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AmbientCapExceeded, OracleTooLarge) as exc:
+    except (AmbientCapExceeded, OracleTooLarge, TableTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -65,3 +65,16 @@ class OracleTooLarge(RuntimeError):
         super().__init__(
             f"chain space at (i={i}, j={j}) has dimension {dim}, above the cap {cap}"
         )
+
+
+class TableTooLarge(RuntimeError):
+    """A closed-form Betti table would have more cells than its cap."""
+
+    def __init__(self, i_max: int, degrees: int, cap: int):
+        self.i_max = i_max
+        self.degrees = degrees
+        self.cap = cap
+        super().__init__(
+            f"closed-form table up to i = {clipped_repr(i_max)} in {degrees} generator "
+            f"degree(s) has more than {cap} cells"
+        )

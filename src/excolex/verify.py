@@ -21,6 +21,7 @@ from .betti import (
     MODE_EQUAL,
     MODE_LOWER,
     MODE_UPPER,
+    BettiTable,
     compare_betti,
     stable_betti_table,
     tables_agree,
@@ -87,6 +88,31 @@ def _run(claim: str, universe: dict, *parts: tuple[Iterable, Callable]) -> Verif
     return report
 
 
+def _per_profile(fn: Callable[[MonomialIdeal], object]) -> Callable:
+    """``fn`` evaluated once per (I.n, degree_profile(I)), for values derived
+    from the colexsegment construction, which depends on nothing else.
+
+    The memo lives as long as the returned function, so each campaign call
+    starts with an empty one. The campaigns meet their ideals by ascending n,
+    so it holds the current n's entries only. Failure payloads are built
+    from the failing ideal, never from the memo.
+    """
+    memo: dict = {}
+    ambient = None
+
+    def by_profile(I: MonomialIdeal):
+        nonlocal ambient
+        if I.n != ambient:
+            memo.clear()
+            ambient = I.n
+        profile = degree_profile(I)
+        if profile not in memo:
+            memo[profile] = fn(I)
+        return memo[profile]
+
+    return by_profile
+
+
 def _stable_ideals(n_max: int, **options) -> Iterator[MonomialIdeal]:
     """The strongly stable ideals of ``enumerate_strongly_stable_ideals``, n = 1..n_max."""
     for n in range(1, n_max + 1):
@@ -110,20 +136,31 @@ def verify_green(n_max: int = 5) -> VerificationReport:
     Both sides live in the ambient where the construction completed.
     """
 
-    def check(I: MonomialIdeal):
+    def construction_side(I: MonomialIdeal) -> tuple[int, tuple[int, ...]]:
+        # the construction's ambient and, for t from indeg(I) and then p from t,
+        # the count of its degree-t members with largest index <= p
         result = colex_ideal(I)
         big = result.m
+        counts = []
+        for t in range(I.indeg, big + 1):
+            comp_j = graded_component(result.ideal, t)
+            counts.extend(count_max_index_le(comp_j, p) for p in range(t, big + 1))
+        return big, tuple(counts)
+
+    construction = _per_profile(construction_side)
+
+    def check(I: MonomialIdeal):
+        big, counts = construction(I)
+        rhs_counts = iter(counts)
         I_big = I.reembed(big)
         for t in range(I_big.indeg, big + 1):
             comp_i = graded_component(I_big, t)
-            comp_j = graded_component(result.ideal, t)
-            for p in range(t, big + 1):
+            for p, rhs in zip(range(t, big + 1), rhs_counts):
                 lhs = count_max_index_le(comp_i, p)
-                rhs = count_max_index_le(comp_j, p)
                 if lhs > rhs:
                     yield {
                         "ideal": I.as_dict(),
-                        "construction": result.ideal.as_dict(),
+                        "construction": colex_ideal(I).ideal.as_dict(),
                         "t": t,
                         "p": p,
                         "lhs": lhs,
@@ -141,13 +178,19 @@ def verify_colex_lower_bound(n_max: int = 6, i_max: int = 8) -> VerificationRepo
     domination, which certifies the inequality for every homological degree.
     """
 
+    def construction_side(I: MonomialIdeal) -> tuple[MonomialIdeal, BettiTable]:
+        J = colex_ideal(I).ideal
+        return J, stable_betti_table(J, i_max)
+
+    construction = _per_profile(construction_side)
+
     def check(I: MonomialIdeal):
-        result = colex_ideal(I)
-        verdict = compare_betti(I, result.ideal, i_max)
+        J, table = construction(I)
+        verdict = compare_betti(I, J, i_max, table_j=table)
         if verdict.mode not in (MODE_LOWER, MODE_EQUAL) or not verdict.domination:
             yield {
                 "ideal": I.as_dict(),
-                "construction": result.ideal.as_dict(),
+                "construction": J.as_dict(),
                 "verdict": verdict.as_dict(),
                 "domination": verdict.domination,
             }
@@ -367,21 +410,28 @@ def verify_revlex_characterizations(
             yield {"case": "single degree", "n": n, "d": d, "count": count,
                    "predicted": predicted, "actual": actual}
 
-    def two_degree_reports():
+    def two_degree_verdict(I: MonomialIdeal) -> bool | None:
+        # decided by the construction alone (the input's dim_d2 does not enter);
+        # None for a profile outside the hypotheses
+        try:
+            return revlex_conditions_two_degrees(I).consistent
+        except HypothesisViolated:
+            return None
+
+    verdict = _per_profile(two_degree_verdict)
+
+    def two_degree_ideals():
         for n in range(5, ideal_n_max + 1):
             max_extra = max_extra_at_top if n == ideal_n_max else None
             for I in enumerate_strongly_stable_ideals(n, max_extra=max_extra):
-                if len(degree_profile(I)) != 2:
-                    continue
-                try:
-                    rep = revlex_conditions_two_degrees(I)
-                except HypothesisViolated:
-                    continue
-                yield I, rep
+                consistent = verdict(I)
+                if consistent is not None:
+                    yield I, consistent
 
-    def check_two_degrees(item):
-        I, rep = item
-        if not rep.consistent:
+    def check_two_degrees(item: tuple[MonomialIdeal, bool]):
+        I, consistent = item
+        if not consistent:
+            rep = revlex_conditions_two_degrees(I)
             yield {"case": "two degrees", "ideal": I.as_dict(), "report": rep.as_dict()}
 
     universe = {
@@ -395,7 +445,7 @@ def verify_revlex_characterizations(
         (references, check_reference),
         (_segment_sizes(segment_n_max), check_triple),
         (_segment_sizes(ideal_n_max), check_single),
-        (two_degree_reports(), check_two_degrees),
+        (two_degree_ideals(), check_two_degrees),
     )
 
 

@@ -12,13 +12,19 @@ from excolex.betti import (
     MODE_INCOMPARABLE,
     MODE_LOWER,
     MODE_UPPER,
+    MAX_TABLE_CELLS,
     BettiTable,
     compare_betti,
     max_index_domination,
     stable_betti_table,
     tables_agree,
 )
-from excolex.errors import ContractViolation, FormulaInapplicable, ProfileMismatch
+from excolex.errors import (
+    ContractViolation,
+    FormulaInapplicable,
+    ProfileMismatch,
+    TableTooLarge,
+)
 from excolex.ideals import minimalize
 from excolex.monomials import Monomial
 
@@ -194,3 +200,14 @@ def test_compare_serialization():
         "i_max": 2,
         "domination": True,
     }
+
+
+def test_table_cells_are_capped():
+    # one cell per homological degree and generator degree: two degrees here
+    I = ideal(4, "e1e2", "e1e3", "e2e3e4")
+    rows = MAX_TABLE_CELLS // 2
+    assert stable_betti_table(I, rows - 1).i_max == rows - 1
+    with pytest.raises(TableTooLarge):
+        stable_betti_table(I, rows)
+    with pytest.raises(TableTooLarge):
+        compare_betti(I, I, 10**9)

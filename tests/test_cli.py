@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, JSON shapes, exit codes."""
 
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -35,7 +37,10 @@ def ex_extending(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -284,6 +289,7 @@ def test_overlong_integer_literal_is_usage_error(capsys, tmp_path):
 
 HUGE = "9" * 4000
 NEGATIVE = "-" + "9" * 3000
+UNPARSABLE = "9" * 5000  # past the interpreter's 4300-digit limit for int()
 
 
 @pytest.mark.parametrize(
@@ -297,9 +303,22 @@ NEGATIVE = "-" + "9" * 3000
         ["betti", "--input", "{ideal}", "--i-max", NEGATIVE],
         ["compare", "--left", "{ideal}", "--right", "{ideal}", "--i-max", NEGATIVE],
         ["betti", "--input", "{ideal}", "--oracle", "--field", HUGE],
+        ["enumerate", "--n", UNPARSABLE],
+        ["enumerate", "--n", "4", "--d", UNPARSABLE],
+        ["colex", "--input", "{ideal}", "--m-cap", UNPARSABLE],
+        ["verify", "--claim", "lemma41", "--n-max", UNPARSABLE],
+        ["verify", "--claim", "lemma41", "--i-max", UNPARSABLE],
+        ["betti", "--input", "{ideal}", "--i-max", UNPARSABLE],
+        ["betti", "--input", "{ideal}", "--oracle", "--oracle-i-max", UNPARSABLE],
+        ["compare", "--left", "{ideal}", "--right", "{ideal}", "--i-max", UNPARSABLE],
+        ["betti", "--input", "{ideal}", "--oracle", "--field", UNPARSABLE],
     ],
     ids=["enumerate-n", "enumerate-d", "colex-m-cap", "verify-n-max", "verify-i-max",
-         "betti-i-max", "compare-i-max", "betti-field"],
+         "betti-i-max", "compare-i-max", "betti-field",
+         "unparsable-enumerate-n", "unparsable-enumerate-d", "unparsable-colex-m-cap",
+         "unparsable-verify-n-max", "unparsable-verify-i-max", "unparsable-betti-i-max",
+         "unparsable-betti-oracle-i-max", "unparsable-compare-i-max",
+         "unparsable-betti-field"],
 )
 def test_error_clips_an_echoed_command_line_integer(capsys, ex_small, argv):
     code, out, err = run(capsys, *(ex_small if a == "{ideal}" else a for a in argv))
@@ -336,3 +355,37 @@ def test_counterexample_report_maps_to_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--claim", "green")
     assert code == 1
     assert json.loads(out)["status"] == "counterexample"
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block, by interrupting it, once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--input", "{ideal}"],
+        ["compare", "--left", "{ideal}", "--right", "{ideal}"],
+        ["verify", "--claim", "example51"],
+    ],
+    ids=["betti", "compare", "verify-example51"],
+)
+def test_closed_form_table_cap_is_resource_exit(capsys, ex_small, argv):
+    argv = [ex_small if a == "{ideal}" else a for a in argv] + ["--i-max", "1000000000"]
+    with deadline(1.0):
+        code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert not out and "cells" in err

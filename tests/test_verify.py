@@ -1,11 +1,16 @@
 """Verification campaigns on reduced bounds, report semantics, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from excolex import verify
-from excolex.errors import ContractViolation
+from excolex.betti import BettiTable, compare_betti, stable_betti_table
+from excolex.colex import colex_ideal
+from excolex.enumeration import enumerate_strongly_stable_ideals
+from excolex.errors import ContractViolation, HypothesisViolated
+from excolex.ideals import degree_profile
 from excolex.verify import (
     CLAIMS,
     VerificationReport,
@@ -159,3 +164,101 @@ def test_claim_table_maps_bounds_to_keywords(claim, monkeypatch):
     # the ideal parts of prop42 and section6 stay capped at 5 and 7
     caps = {"prop42": 5, "section6": 7}
     assert calls[2][1].get("ideal_n_max") == caps.get(claim)
+
+
+@pytest.mark.parametrize(
+    "campaign, keys",
+    [(lambda: verify_colex_lower_bound(6), 120), (lambda: verify_green(5), 122)],
+    ids=["colex-bound", "green"],
+)
+def test_each_call_builds_one_construction_per_profile(monkeypatch, campaign, keys):
+    built = []  # the (n, profile) of every construction built
+    real = verify.colex_ideal
+
+    def spy(I, *args, **kwargs):
+        built.append((I.n, degree_profile(I)))
+        return real(I, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "colex_ideal", spy)
+    first = campaign()
+    assert len(built) == len(set(built)) == keys
+    # nothing carries over: a second call builds every construction again
+    second = campaign()
+    assert built[keys:] == built[:keys]
+    assert second.as_dict() == first.as_dict()
+
+
+def _busiest_key(ideals):
+    """The (n, profile) shared by the most ideals, and those ideals."""
+    by_key: dict = {}
+    for I in ideals:
+        by_key.setdefault((I.n, degree_profile(I)), []).append(I)
+    return max(by_key.items(), key=lambda item: len(item[1]))
+
+
+def test_section6_failure_stays_per_ideal(monkeypatch):
+    bounds = {"segment_n_max": 6, "ideal_n_max": 6}
+    clean = verify_revlex_characterizations(**bounds)
+    real = verify.revlex_conditions_two_degrees
+
+    def in_hypothesis(I):
+        try:
+            real(I)
+        except HypothesisViolated:
+            return False
+        return True
+
+    ideals = [
+        I for n in (5, 6)
+        for I in enumerate_strongly_stable_ideals(n, max_extra=2 if n == 6 else None)
+        if in_hypothesis(I)
+    ]
+    key, hit = _busiest_key(ideals)
+
+    def flipped(I):
+        rep = real(I)
+        if (I.n, degree_profile(I)) == key:
+            return replace(rep, is_revlex=not rep.is_revlex)
+        return rep
+
+    monkeypatch.setattr(verify, "revlex_conditions_two_degrees", flipped)
+    report = verify_revlex_characterizations(**bounds)
+    # the failures are those of checking every ideal on its own
+    expected = [
+        {"case": "two degrees", "ideal": I.as_dict(), "report": flipped(I).as_dict()}
+        for I in hit
+    ]
+    assert report.failures == expected
+    assert len({f["report"]["dim_d2"] for f in expected}) > 1  # each ideal's own dim_d2
+    assert report.instances == clean.instances
+
+
+def test_colex_bound_failure_stays_per_ideal(monkeypatch):
+    i_max = 6
+    clean = verify_colex_lower_bound(5, i_max)
+    key, hit = _busiest_key(verify._stable_ideals(5, max_degrees=1))
+
+    def inflated(J, i):
+        # raise the construction's i = 0 total, so that it exceeds the ideal's
+        table = stable_betti_table(J, i)
+        if (J.n, degree_profile(J)) != key:
+            return table
+        entries = dict(table.entries)
+        entries[0, J.indeg] += 1
+        return BettiTable(table.subject, table.i_max, entries)
+
+    monkeypatch.setattr(verify, "stable_betti_table", inflated)
+    report = verify_colex_lower_bound(5, i_max)
+    expected = []
+    for I in hit:
+        J = colex_ideal(I).ideal
+        verdict = compare_betti(I, J, i_max, table_j=inflated(J, i_max))
+        expected.append({
+            "ideal": I.as_dict(),
+            "construction": J.as_dict(),
+            "verdict": verdict.as_dict(),
+            "domination": verdict.domination,
+        })
+    assert report.failures == expected
+    assert len({str(f["verdict"]) for f in expected}) > 1  # each ideal's own verdict
+    assert report.instances == clean.instances
