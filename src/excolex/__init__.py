@@ -5,6 +5,7 @@ from .betti import (
     BettiTable,
     ComparisonVerdict,
     compare_betti,
+    low_index_counts,
     max_index_domination,
     stable_betti_table,
     tables_agree,
@@ -61,7 +62,6 @@ from .monomials import (
     Monomial,
     borel_reductions,
     common_degree,
-    count_max_index_le,
     is_stable,
     is_strongly_stable,
     max_index_counts,

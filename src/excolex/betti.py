@@ -71,11 +71,6 @@ class BettiTable:
             sums[i] += v
         return sums
 
-    def row(self, i: int) -> dict[int, int]:
-        return dict(
-            sorted((j, v) for (ii, j), v in self.entries.items() if ii == i)
-        )
-
     def as_dict(self) -> dict:
         # one pass over the entries, not one per row
         by_i: dict[int, dict[str, int]] = {i: {} for i in range(self.i_max + 1)}
@@ -100,25 +95,41 @@ def tables_agree(left: BettiTable, right: BettiTable, i_bound: int) -> bool:
     return all(left.entry(i, j) == right.entry(i, j) for (i, j) in keys)
 
 
-def stable_betti_table(I: MonomialIdeal, i_max: int) -> BettiTable:
-    """The closed-form table of a strongly stable ideal (subject: the ideal)."""
-    if i_max < 0:
-        raise ContractViolation(f"negative homological cutoff: {clipped_repr(i_max)}")
+def _generator_groups(I: MonomialIdeal) -> Counter:
+    """Generator counts by (degree, largest index) of a strongly stable ideal."""
     if not is_strongly_stable_ideal(I):
         raise FormulaInapplicable(
             "closed form needs a strongly stable ideal; use the homology oracle instead"
         )
-    # generators of one degree t and one largest index m add the same summands
-    groups = Counter((u.degree, u.max_index) for u in I.gens)
+    return Counter((u.degree, u.max_index) for u in I.gens)
+
+
+def stable_betti_table(I: MonomialIdeal, i_max: int) -> BettiTable:
+    """The closed-form table of a strongly stable ideal (subject: the ideal)."""
+    if i_max < 0:
+        raise ContractViolation(f"negative homological cutoff: {clipped_repr(i_max)}")
+    groups = _generator_groups(I)
     degrees = len({t for t, _ in groups})
     if (i_max + 1) * degrees > MAX_TABLE_CELLS:
-        raise TableTooLarge(i_max, degrees, MAX_TABLE_CELLS)
+        table = f"closed-form table in {degrees} generator degree(s)"
+        raise TableTooLarge(table, i_max, MAX_TABLE_CELLS)
     entries: dict[tuple[int, int], int] = {}
     for (t, m), count in groups.items():
         for i in range(i_max + 1):
             key = (i, i + t)
             entries[key] = entries.get(key, 0) + count * comb(m + i - 1, m - 1)
     return BettiTable(SUBJECT_IDEAL, i_max, entries)
+
+
+def low_index_counts(I: MonomialIdeal, t_min: int, top: int) -> dict[tuple[int, int], int]:
+    """(t, p) -> how many degree-t members of a strongly stable ideal have largest
+    index <= p, for t_min <= t <= p <= top: each is uniquely u*v with u a generator
+    and max(u) < min(v) (exterior Eliahou-Kervaire), so u adds C(p - m(u), t - deg u)."""
+    groups = _generator_groups(I).items()
+    return {
+        (t, p): sum(c * comb(p - m, t - d) for (d, m), c in groups if d <= t and m <= p)
+        for t in range(t_min, top + 1) for p in range(t, top + 1)
+    }
 
 
 def max_index_domination(I: MonomialIdeal, J: MonomialIdeal) -> bool:

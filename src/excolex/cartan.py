@@ -27,8 +27,8 @@ from functools import lru_cache
 from math import comb, gcd, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .betti import SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
-from .errors import ContractViolation, OracleTooLarge, clipped_repr
+from .betti import MAX_TABLE_CELLS, SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
+from .errors import ContractViolation, OracleTooLarge, TableTooLarge, clipped_repr
 from .ideals import MonomialIdeal
 from .monomials import Monomial, iter_degree_masks
 
@@ -305,10 +305,13 @@ def cartan_betti(
     ``i_max`` is the cutoff for the quotient table; the ideal table is the
     standard shift (its row i is the quotient's row i+1), so it reaches
     i_max - 1. Exact rational ranks by default; pass ``prime`` (a prime below
-    2**31) for the modular fast path.
+    2**31) for the modular fast path. Its (i, j) cells are capped like the closed form's.
     """
     if i_max < 1:
         raise ContractViolation("need i_max >= 1 to report the shifted table")
+    if (i_max + 1) * (I.n + i_max + 1) > MAX_TABLE_CELLS:
+        table = f"oracle cutoff: quotient table over n = {I.n}"
+        raise TableTooLarge(table, i_max, MAX_TABLE_CELLS)
     if prime is not None:
         _require_prime(prime)
     rank_fn = exact_rank if prime is None else (lambda rows: rank_mod_p(rows, prime))

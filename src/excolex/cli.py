@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ideals import MonomialIdeal, is_strongly_stable_ideal
 from .monomials import MAX_VARIABLES
-from .verify import CLAIMS, run_claim
+from .verify import CLAIMS, claim_name, run_claim
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -140,6 +140,14 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {clipped_repr(text)}") from None
 
 
+def _claim(text: str) -> str:
+    """The type of --claim: an unknown name is echoed clipped, unlike ``choices``."""
+    try:
+        return claim_name(text)
+    except ContractViolation as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error on one line, like every other error; ``-h`` prints
     the usage synopsis."""
@@ -182,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("verify", help="run a named verification campaign")
-    p.add_argument("--claim", required=True, choices=CLAIMS)
+    p.add_argument("--claim", required=True, type=_claim, metavar="{%s}" % ",".join(CLAIMS))
     p.add_argument("--n-max", type=_int, default=None, dest="n_max")
     p.add_argument("--i-max", type=_int, default=None, dest="i_max")
     p.add_argument("--json", default=None, help="also write the report to this file")

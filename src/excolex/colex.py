@@ -111,10 +111,7 @@ def is_revlex_segment(monos, n: int) -> bool:
     if d is None or d == 0:
         return True
     masks = sorted(u.mask for u in monos)
-    for expected, got in zip(iter_degree_masks(n, d), masks):
-        if expected != got:
-            return False
-    return True
+    return all(expected == got for expected, got in zip(iter_degree_masks(n, d), masks))
 
 
 def is_revlex_ideal(I: MonomialIdeal) -> bool:

@@ -68,13 +68,10 @@ class OracleTooLarge(RuntimeError):
 
 
 class TableTooLarge(RuntimeError):
-    """A closed-form Betti table would have more cells than its cap."""
+    """A Betti table, the closed form's or the oracle's quotient, passes its cell cap."""
 
-    def __init__(self, i_max: int, degrees: int, cap: int):
+    def __init__(self, table: str, i_max: int, cap: int):
+        self.table = table
         self.i_max = i_max
-        self.degrees = degrees
         self.cap = cap
-        super().__init__(
-            f"closed-form table up to i = {clipped_repr(i_max)} in {degrees} generator "
-            f"degree(s) has more than {cap} cells"
-        )
+        super().__init__(f"{table} up to i = {clipped_repr(i_max)} has more than {cap} cells")

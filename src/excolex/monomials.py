@@ -14,6 +14,7 @@ Degree-homogeneous collections are passed around as plain iterables or sets of
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -183,12 +184,7 @@ def revlex_segment(n: int, d: int, length: int) -> list[Monomial]:
         raise InsufficientMonomials(
             f"only {comb(n, d)} monomials of degree {d} in e_1..e_{n}, asked for {length}"
         )
-    out: list[Monomial] = []
-    for mask in iter_degree_masks(n, d):
-        if len(out) == length:
-            break
-        out.append(Monomial(mask))
-    return out
+    return [Monomial(mask) for mask in islice(iter_degree_masks(n, d), length)]
 
 
 def shadow(monos: Iterable[Monomial], n: int) -> set[Monomial]:
@@ -232,12 +228,6 @@ def restrict_max_index(monos: Iterable[Monomial], p: int) -> set[Monomial]:
     if p < 0:
         raise ContractViolation(f"negative index bound: {p}")
     return {u for u in monos if u.max_index <= p}
-
-
-def count_max_index_le(monos: Iterable[Monomial], p: int) -> int:
-    if p < 0:
-        raise ContractViolation(f"negative index bound: {p}")
-    return sum(1 for u in monos if u.max_index <= p)
 
 
 def max_index_counts(monos: Iterable[Monomial]) -> dict[int, int]:

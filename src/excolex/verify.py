@@ -23,6 +23,7 @@ from .betti import (
     MODE_UPPER,
     BettiTable,
     compare_betti,
+    low_index_counts,
     stable_betti_table,
     tables_agree,
 )
@@ -46,7 +47,6 @@ from .errors import ContractViolation, HypothesisViolated, clipped_repr
 from .ideals import MonomialIdeal, degree_profile, graded_component, minimalize
 from .monomials import (
     Monomial,
-    count_max_index_le,
     multiples_by,
     partial_shadow,
     restrict_max_index,
@@ -54,6 +54,13 @@ from .monomials import (
     revlex_segment,
     shadow,
 )
+
+
+# One-value settings, still written into the report universes: section6's cap on
+# extra degree-d2 generators at its top size; oracle-agreement's beta1 and d(d) bounds.
+MAX_EXTRA_AT_TOP = 2
+BETA1_TARGET = 200
+DD_I_MAX = 4
 
 
 @dataclass
@@ -133,39 +140,27 @@ def verify_green(n_max: int = 5) -> VerificationReport:
     For every strongly stable ideal with at most two generator degrees, every
     degree t and every p in [t, ambient]: the count of degree-t monomials of I
     with largest index <= p is at most the same count for the construction.
-    Both sides live in the ambient where the construction completed.
+    Both sides count from their generators, up to the construction's ambient.
     """
 
-    def construction_side(I: MonomialIdeal) -> tuple[int, tuple[int, ...]]:
-        # the construction's ambient and, for t from indeg(I) and then p from t,
-        # the count of its degree-t members with largest index <= p
+    def construction_side(I: MonomialIdeal) -> tuple[int, dict]:
         result = colex_ideal(I)
-        big = result.m
-        counts = []
-        for t in range(I.indeg, big + 1):
-            comp_j = graded_component(result.ideal, t)
-            counts.extend(count_max_index_le(comp_j, p) for p in range(t, big + 1))
-        return big, tuple(counts)
+        return result.m, low_index_counts(result.ideal, I.indeg, result.m)
 
     construction = _per_profile(construction_side)
 
     def check(I: MonomialIdeal):
-        big, counts = construction(I)
-        rhs_counts = iter(counts)
-        I_big = I.reembed(big)
-        for t in range(I_big.indeg, big + 1):
-            comp_i = graded_component(I_big, t)
-            for p, rhs in zip(range(t, big + 1), rhs_counts):
-                lhs = count_max_index_le(comp_i, p)
-                if lhs > rhs:
-                    yield {
-                        "ideal": I.as_dict(),
-                        "construction": colex_ideal(I).ideal.as_dict(),
-                        "t": t,
-                        "p": p,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
+        big, rhs_counts = construction(I)
+        for (t, p), lhs in low_index_counts(I, I.indeg, big).items():
+            if lhs > (rhs := rhs_counts[t, p]):
+                yield {
+                    "ideal": I.as_dict(),
+                    "construction": colex_ideal(I).ideal.as_dict(),
+                    "t": t,
+                    "p": p,
+                    "lhs": lhs,
+                    "rhs": rhs,
+                }
 
     universe = {"n_max": n_max, "max_degrees": 2, "m_cap": DEFAULT_AMBIENT_CAP}
     return _run("green", universe, (_stable_ideals(n_max), check))
@@ -366,9 +361,7 @@ def _segment_sizes(n_max: int) -> Iterator[tuple[int, int, int]]:
 
 
 def verify_revlex_characterizations(
-    segment_n_max: int = 8,
-    ideal_n_max: int = 7,
-    max_extra_at_top: int = 2,
+    segment_n_max: int = 8, ideal_n_max: int = 7
 ) -> VerificationReport:
     """Everything about when segment constructions give revlex ideals.
 
@@ -422,7 +415,7 @@ def verify_revlex_characterizations(
 
     def two_degree_ideals():
         for n in range(5, ideal_n_max + 1):
-            max_extra = max_extra_at_top if n == ideal_n_max else None
+            max_extra = MAX_EXTRA_AT_TOP if n == ideal_n_max else None
             for I in enumerate_strongly_stable_ideals(n, max_extra=max_extra):
                 consistent = verdict(I)
                 if consistent is not None:
@@ -437,7 +430,7 @@ def verify_revlex_characterizations(
     universe = {
         "segment_n_max": segment_n_max,
         "ideal_n_max": ideal_n_max,
-        "max_extra_at_top": max_extra_at_top,
+        "max_extra_at_top": MAX_EXTRA_AT_TOP,
     }
     return _run(
         "section6",
@@ -469,21 +462,16 @@ def _boundary_squared_failures(I: MonomialIdeal, i_max: int) -> Iterator[dict]:
                     return
 
 
-def verify_oracle_agreement(
-    n_max: int = 5,
-    i_max: int = 4,
-    beta1_target: int = 200,
-    dd_i_max: int = 4,
-) -> VerificationReport:
+def verify_oracle_agreement(n_max: int = 5, i_max: int = 4) -> VerificationReport:
     """The homology oracle against the closed form, and its own sanity laws.
 
     Three parts: exact graded agreement (shifted convention) with the closed
     form on every strongly stable ideal with at most two generator degrees and
     n <= n_max, for i <= i_max; first-row Betti numbers equal generator counts
     on every proper monomial ideal with n <= 4 (topped up with seeded ideals
-    at n = 5 to pass beta1_target, since only 189 distinct ideals exist below
+    at n = 5 to pass BETA1_TARGET, since only 189 distinct ideals exist below
     n = 5); and boundary-of-boundary = 0 on every basis element, exhaustively
-    for all proper ideals with n <= 4 and homological degree <= dd_i_max.
+    for all proper ideals with n <= 4 and homological degree <= DD_I_MAX.
     """
 
     def check_formula(I: MonomialIdeal):
@@ -510,19 +498,19 @@ def verify_oracle_agreement(
                 }
 
     proper = [I for n in range(1, 5) for I in enumerate_proper_ideals(n)]
-    seeded = seeded_proper_ideals(5, beta1_target - len(proper))  # none once reached
+    seeded = seeded_proper_ideals(5, BETA1_TARGET - len(proper))  # none once reached
     universe = {
         "n_max": n_max,
         "i_max": i_max,
-        "beta1_target": beta1_target,
-        "dd_i_max": dd_i_max,
+        "beta1_target": BETA1_TARGET,
+        "dd_i_max": DD_I_MAX,
     }
     report = _run(
         "oracle-agreement",
         universe,
         (_stable_ideals(n_max), check_formula),
         (proper + seeded, check_beta1),
-        (proper, lambda I: _boundary_squared_failures(I, dd_i_max)),
+        (proper, lambda I: _boundary_squared_failures(I, DD_I_MAX)),
     )
     report.notes.append(
         f"beta1 universe: all {len(proper)} proper monomial ideals with n <= 4, "
@@ -549,13 +537,18 @@ _CAMPAIGNS: dict[str, tuple[Callable[..., VerificationReport], Callable[..., dic
 CLAIMS = tuple(_CAMPAIGNS)
 
 
+def claim_name(claim: str) -> str:
+    """``claim`` if it names a campaign; an unknown name is echoed clipped."""
+    if claim not in _CAMPAIGNS:
+        raise ContractViolation(f"unknown claim {clipped_repr(claim)}")
+    return claim
+
+
 def run_claim(claim: str, n_max: int | None = None, i_max: int | None = None) -> VerificationReport:
     """Run a named campaign; a bound left as None keeps the campaign's default."""
     if (n_max is not None and n_max < 1) or (i_max is not None and i_max < 0):
         got = f"{clipped_repr(n_max)}, {clipped_repr(i_max)}"
         raise ContractViolation(f"need n_max >= 1 and i_max >= 0, got {got}")
-    if claim not in _CAMPAIGNS:
-        raise ContractViolation(f"unknown claim {claim!r}; choose from {', '.join(CLAIMS)}")
-    campaign, keywords = _CAMPAIGNS[claim]
+    campaign, keywords = _CAMPAIGNS[claim_name(claim)]
     given = {k: v for k, v in keywords(n_max, i_max).items() if v is not None}
     return campaign(**given)

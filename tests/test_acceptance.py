@@ -151,7 +151,7 @@ def test_criterion_5_shadow_property_suites(capsys):
 
 def test_criterion_6_oracle_equivalence(capsys):
     started = time.perf_counter()
-    rep = verify_oracle_agreement(n_max=5, i_max=4, beta1_target=200, dd_i_max=4)
+    rep = verify_oracle_agreement(n_max=5, i_max=4)
     elapsed = time.perf_counter() - started
     beta1_note = next((n for n in rep.notes if "beta1" in n), "")
     ok = rep.status == "verified" and elapsed < 600.0
@@ -164,9 +164,7 @@ def test_criterion_6_oracle_equivalence(capsys):
 
 def test_criterion_7_revlex_characterizations(capsys):
     started = time.perf_counter()
-    rep = verify_revlex_characterizations(
-        segment_n_max=8, ideal_n_max=7, max_extra_at_top=2
-    )
+    rep = verify_revlex_characterizations(segment_n_max=8, ideal_n_max=7)
     elapsed = time.perf_counter() - started
     ok = rep.status == "verified" and elapsed < 300.0
     with capsys.disabled():

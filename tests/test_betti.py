@@ -15,6 +15,7 @@ from excolex.betti import (
     MAX_TABLE_CELLS,
     BettiTable,
     compare_betti,
+    low_index_counts,
     max_index_domination,
     stable_betti_table,
     tables_agree,
@@ -25,8 +26,10 @@ from excolex.errors import (
     ProfileMismatch,
     TableTooLarge,
 )
-from excolex.ideals import minimalize
-from excolex.monomials import Monomial
+from excolex.colex import colex_ideal
+from excolex.enumeration import enumerate_strongly_stable_ideals
+from excolex.ideals import graded_component, minimalize
+from excolex.monomials import Monomial, restrict_max_index
 
 M = Monomial.from_text
 
@@ -66,6 +69,31 @@ def test_row_zero_counts_generators():
 def test_formula_requires_strong_stability():
     with pytest.raises(FormulaInapplicable):
         stable_betti_table(ideal(3, "e2e3"), 2)
+
+
+def test_low_index_counts_match_the_listed_components():
+    # every strongly stable ideal with n <= 6 and its construction, both read in
+    # the construction's ambient: the decomposition's count at every (t, p)
+    # equals the graded component's members, listed and filtered one by one
+    sides = 0
+    for n in range(1, 7):
+        for I in enumerate_strongly_stable_ideals(n):
+            result = colex_ideal(I)
+            for X in (I.reembed(result.m), result.ideal):
+                counts = low_index_counts(X, I.indeg, result.m)
+                listed = {
+                    (t, p): len(restrict_max_index(graded_component(X, t), p))
+                    for t in range(I.indeg, result.m + 1)
+                    for p in range(t, result.m + 1)
+                }
+                assert counts == listed, X
+                sides += 1
+    assert sides == 1910
+
+
+def test_low_index_counts_require_strong_stability():
+    with pytest.raises(FormulaInapplicable):
+        low_index_counts(ideal(4, "e1e2", "e3e4"), 2, 4)
 
 
 def test_table_depends_only_on_generator_invariants():

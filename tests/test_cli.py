@@ -312,13 +312,14 @@ UNPARSABLE = "9" * 5000  # past the interpreter's 4300-digit limit for int()
         ["betti", "--input", "{ideal}", "--oracle", "--oracle-i-max", UNPARSABLE],
         ["compare", "--left", "{ideal}", "--right", "{ideal}", "--i-max", UNPARSABLE],
         ["betti", "--input", "{ideal}", "--oracle", "--field", UNPARSABLE],
+        ["verify", "--claim", "x" * 3000],
     ],
     ids=["enumerate-n", "enumerate-d", "colex-m-cap", "verify-n-max", "verify-i-max",
          "betti-i-max", "compare-i-max", "betti-field",
          "unparsable-enumerate-n", "unparsable-enumerate-d", "unparsable-colex-m-cap",
          "unparsable-verify-n-max", "unparsable-verify-i-max", "unparsable-betti-i-max",
          "unparsable-betti-oracle-i-max", "unparsable-compare-i-max",
-         "unparsable-betti-field"],
+         "unparsable-betti-field", "verify-claim"],
 )
 def test_error_clips_an_echoed_command_line_integer(capsys, ex_small, argv):
     code, out, err = run(capsys, *(ex_small if a == "{ideal}" else a for a in argv))
@@ -380,8 +381,9 @@ def deadline(seconds):
         ["betti", "--input", "{ideal}"],
         ["compare", "--left", "{ideal}", "--right", "{ideal}"],
         ["verify", "--claim", "example51"],
+        ["verify", "--claim", "oracle-agreement"],
     ],
-    ids=["betti", "compare", "verify-example51"],
+    ids=["betti", "compare", "verify-example51", "verify-oracle-agreement"],
 )
 def test_closed_form_table_cap_is_resource_exit(capsys, ex_small, argv):
     argv = [ex_small if a == "{ideal}" else a for a in argv] + ["--i-max", "1000000000"]

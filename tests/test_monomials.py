@@ -17,7 +17,6 @@ from excolex.monomials import (
     Monomial,
     borel_reductions,
     common_degree,
-    count_max_index_le,
     is_stable,
     is_strongly_stable,
     max_index_counts,
@@ -230,7 +229,7 @@ def test_restrict_max_index():
 def test_max_index_counts():
     monos = mset("e1e2", "e1e3", "e2e3", "e1e4")
     assert max_index_counts(monos) == {2: 1, 3: 2, 4: 1}
-    assert count_max_index_le(monos, 3) == 3
+    assert len(restrict_max_index(monos, 3)) == 3
     assert max_index_counts([]) == {}
 
 
@@ -238,7 +237,7 @@ def test_count_consistency():
     monos = set(revlex_segment(6, 3, 11))
     counts = max_index_counts(monos)
     assert sum(counts.values()) == len(monos)
-    assert count_max_index_le(monos, 6) == len(monos)
+    assert len(restrict_max_index(monos, 6)) == len(monos)
 
 
 # --- stability ---------------------------------------------------------------

@@ -10,7 +10,8 @@ from excolex.betti import BettiTable, compare_betti, stable_betti_table
 from excolex.colex import colex_ideal
 from excolex.enumeration import enumerate_strongly_stable_ideals
 from excolex.errors import ContractViolation, HypothesisViolated
-from excolex.ideals import degree_profile
+from excolex.ideals import degree_profile, graded_component
+from excolex.monomials import restrict_max_index
 from excolex.verify import (
     CLAIMS,
     VerificationReport,
@@ -69,7 +70,7 @@ def test_revlex_characterizations_small():
 
 
 def test_oracle_agreement_small():
-    report = verify_oracle_agreement(n_max=3, i_max=3, beta1_target=20, dd_i_max=3)
+    report = verify_oracle_agreement(n_max=3, i_max=3)
     assert report.status == "verified"
     assert any("beta1 universe" in note for note in report.notes)
 
@@ -261,4 +262,47 @@ def test_colex_bound_failure_stays_per_ideal(monkeypatch):
         })
     assert report.failures == expected
     assert len({str(f["verdict"]) for f in expected}) > 1  # each ideal's own verdict
+    assert report.instances == clean.instances
+
+
+def test_green_failure_stays_per_ideal(monkeypatch):
+    clean = verify_green(5)
+    key, hit = _busiest_key(verify._stable_ideals(5))
+    J = colex_ideal(hit[0]).ideal  # the construction of every ideal with this key
+
+    def listed(X, t, p):
+        return len(restrict_max_index(graded_component(X.reembed(J.n), t), p))
+
+    # the first cell where the ideals' own counts differ; the construction's
+    # count there drops just below the least of them, so each ideal fails once
+    cells = [(t, p) for t in range(J.indeg, J.n + 1) for p in range(t, J.n + 1)]
+    cell = next(c for c in cells if len({listed(I, *c) for I in hit}) > 1)
+    floor = min(listed(I, *cell) for I in hit) - 1
+    assert floor < listed(J, *cell)
+    real = verify._per_profile
+
+    def dropping(construction_side):
+        def dropped(I):
+            big, counts = construction_side(I)
+            if (I.n, degree_profile(I)) == key:
+                counts = {**counts, cell: floor}
+            return big, counts
+
+        return real(dropped)
+
+    monkeypatch.setattr(verify, "_per_profile", dropping)
+    report = verify_green(5)
+    expected = [
+        {
+            "ideal": I.as_dict(),
+            "construction": J.as_dict(),
+            "t": cell[0],
+            "p": cell[1],
+            "lhs": listed(I, *cell),
+            "rhs": floor,
+        }
+        for I in hit
+    ]
+    assert report.failures == expected
+    assert len({f["lhs"] for f in expected}) > 1  # each ideal's own count
     assert report.instances == clean.instances
