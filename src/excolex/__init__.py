@@ -21,7 +21,6 @@ from .cartan import (
 )
 from .colex import (
     ColexResult,
-    ColexStep,
     RevlexConditionReport,
     colex_ideal,
     greedy_generators,

@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .betti import MAX_TABLE_CELLS, SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from .errors import ContractViolation, OracleTooLarge, TableTooLarge, clipped_repr
-from .ideals import MonomialIdeal
-from .monomials import Monomial, iter_degree_masks
+from .ideals import MonomialIdeal, split_component
+from .monomials import Monomial
 
 DEFAULT_PRIME = 32003
 DEFAULT_CELL_CAP = 50_000
@@ -61,17 +61,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _survivor_masks(I: MonomialIdeal, d: int) -> Iterator[int]:
-    """Masks of the degree-d monomials outside the ideal, ascending."""
-    gens = [g.mask for g in I.gens if g.degree <= d]
-    for m in iter_degree_masks(I.n, d):
-        for g in gens:
-            if g & m == g:
-                break
-        else:
-            yield m
-
-
 def chain_space(I: MonomialIdeal, i: int, j: int) -> list[CartanBasisElement]:
     """Ordered basis at homological degree i, internal degree j.
 
@@ -83,7 +72,7 @@ def chain_space(I: MonomialIdeal, i: int, j: int) -> list[CartanBasisElement]:
     d = j - i
     if d < 0 or d > I.n:
         return []
-    survivors = [Monomial(m) for m in _survivor_masks(I, d)]
+    survivors = [Monomial(m) for m in split_component([g.mask for g in I.gens], I.n, d)[1]]
     if not survivors:
         return []
     powers = list(_compositions(i, I.n))
@@ -193,10 +182,10 @@ def _guard_dimensions(I: MonomialIdeal, i_max: int, cap: int) -> None:
         blocks = comb(I.n + i - 1, i)
         for d in range(min(I.n, I.n + i_max - i) + 1):  # j = i + d up to n + i_max
             if d == len(survivors):  # row i = 0 reaches every degree, in order
-                survivors.append(sum(1 for _ in _survivor_masks(I, d)))
+                survivors.append(len(split_component([g.mask for g in I.gens], I.n, d)[1]))
             dim = survivors[d] * blocks
             if dim > cap:
-                raise OracleTooLarge(i, i + d, dim, cap)
+                raise OracleTooLarge(f"chain space dimension at (i={i}, j={i + d})", dim, cap)
 
 
 def _homology(dims: list[int], ranks: list[int]) -> dict[int, int]:
@@ -244,13 +233,18 @@ def _strand_homology(
 
 
 def _betti_by_strands(
-    I: MonomialIdeal, i_max: int, rank_fn
+    I: MonomialIdeal, i_max: int, rank_fn, cap: int
 ) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
     gen_masks = [g.mask for g in I.gens]
     lattice = {0}  # the unions of generators: every other strand is a cone
+    work = 1  # the subsets the strands walk: 2^|S| summed over the lattice
     for g in gen_masks:
-        lattice |= {s | g for s in lattice}
+        grown = {s | g for s in lattice} - lattice
+        work += sum(1 << s.bit_count() for s in grown)
+        if work > cap:  # refused before the lattice passes the cap
+            raise OracleTooLarge("strand work (2^|S| summed over the LCM lattice)", work, cap)
+        lattice |= grown
     for support in sorted(lattice):
         homology = _strand_homology(gen_masks, support, rank_fn)
         if not homology:
@@ -305,7 +299,8 @@ def cartan_betti(
     ``i_max`` is the cutoff for the quotient table; the ideal table is the
     standard shift (its row i is the quotient's row i+1), so it reaches
     i_max - 1. Exact rational ranks by default; pass ``prime`` (a prime below
-    2**31) for the modular fast path. Its (i, j) cells are capped like the closed form's.
+    2**31) for the modular fast path. Its (i, j) cells are capped like the closed form's,
+    and ``max_cell_dim`` caps the work of the method that runs (see ``OracleTooLarge``).
     """
     if i_max < 1:
         raise ContractViolation("need i_max >= 1 to report the shifted table")
@@ -315,10 +310,10 @@ def cartan_betti(
     if prime is not None:
         _require_prime(prime)
     rank_fn = exact_rank if prime is None else (lambda rows: rank_mod_p(rows, prime))
-    _guard_dimensions(I, i_max, max_cell_dim)
     if method == "strands":
-        q_entries = _betti_by_strands(I, i_max, rank_fn)
+        q_entries = _betti_by_strands(I, i_max, rank_fn, max_cell_dim)
     elif method == "direct":
+        _guard_dimensions(I, i_max, max_cell_dim)
         q_entries = _betti_direct(I, i_max, rank_fn)
     else:
         raise ContractViolation(f"unknown oracle method {method!r}")

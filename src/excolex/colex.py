@@ -10,6 +10,7 @@ ambient-stability can be checked by rerunning the greedy at larger m.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from math import comb
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     NotARevlexSegment,
     clipped_repr,
 )
-from .ideals import DegreeProfile, MonomialIdeal, component_masks, degree_profile
+from .ideals import DegreeProfile, MonomialIdeal, degree_profile, split_component
 from .monomials import (
     Monomial,
     common_degree,
@@ -36,53 +37,34 @@ DEFAULT_AMBIENT_CAP = 32
 
 
 @dataclass(frozen=True)
-class ColexStep:
-    """Generators chosen in one degree, in decreasing revlex order."""
-
-    degree: int
-    chosen: tuple[Monomial, ...]
-
-
-@dataclass(frozen=True)
 class ColexResult:
     ideal: MonomialIdeal
     m: int
-    steps: tuple[ColexStep, ...]
 
     def as_dict(self) -> dict:
         return {
             "m": self.m,
             "J": self.ideal.as_dict(),
             "steps": [
-                {"degree": s.degree, "chosen": [list(u.indices) for u in s.chosen]}
-                for s in self.steps
+                {"degree": degree, "chosen": [list(u.indices) for u in chosen]}
+                for degree, chosen in groupby(self.ideal.gens, key=lambda u: u.degree)
             ],
         }
 
 
-def greedy_generators(profile: DegreeProfile, m: int) -> tuple[ColexStep, ...] | None:
+def greedy_generators(profile: DegreeProfile, m: int) -> tuple[Monomial, ...] | None:
     """One construction attempt at a fixed ambient size, or None when a degree starves.
 
     Masks ascend in revlex-descending order, so the first picks not divisible
     by an earlier choice are exactly the revlex-largest available monomials.
     """
-    chosen_masks: list[int] = []
-    steps: list[ColexStep] = []
+    chosen: list[int] = []
     for degree, count in profile:
-        picks: list[Monomial] = []
-        for mask in iter_degree_masks(m, degree):
-            for g in chosen_masks:
-                if g & mask == g:
-                    break
-            else:
-                picks.append(Monomial(mask))
-                if len(picks) == count:
-                    break
-        if len(picks) < count:
+        _, available = split_component(chosen, m, degree)
+        if len(available) < count:
             return None
-        chosen_masks.extend(u.mask for u in picks)
-        steps.append(ColexStep(degree, tuple(picks)))
-    return tuple(steps)
+        chosen += available[:count]
+    return tuple(Monomial(mask) for mask in chosen)
 
 
 def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> ColexResult:
@@ -96,10 +78,9 @@ def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> ColexResu
         raise ContractViolation(f"m_cap {clipped_repr(m_cap)} below the ambient size {I.n}")
     profile = degree_profile(I)
     for m in range(I.n, m_cap + 1):
-        steps = greedy_generators(profile, m)
-        if steps is not None:
-            gens = [u for step in steps for u in step.chosen]
-            return ColexResult(MonomialIdeal(m, gens), m, steps)
+        gens = greedy_generators(profile, m)
+        if gens is not None:
+            return ColexResult(MonomialIdeal(m, gens), m)
     raise AmbientCapExceeded(m_cap, m_cap)
 
 
@@ -119,18 +100,11 @@ def is_revlex_ideal(I: MonomialIdeal) -> bool:
     along the ascending masks of each degree, no member follows a non-member."""
     masks = [u.mask for u in I.gens]
     for t in range(I.indeg, I.n + 1):
-        gen_masks = [g for g in masks if g.bit_count() <= t]
-        outside = False  # a non-member of degree t seen already
-        for m in iter_degree_masks(I.n, t):
-            for g in gen_masks:
-                if g & m == g:
-                    if outside:
-                        return False
-                    break
-            else:
-                outside = True
-        if not outside:  # every degree-t monomial is in, so every higher one is
+        members, non_members = split_component(masks, I.n, t)
+        if not non_members:  # every degree-t monomial is in, so every higher one is
             return True
+        if members and members[-1] > non_members[0]:
+            return False
     return True
 
 
@@ -207,8 +181,8 @@ def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:
     if not d2 < n - 2:
         raise HypothesisViolated(f"need d2 < n-2, got d2 = {d2}, n = {n}")
     dim_d1 = p1  # the initial-degree component is spanned by its generators
-    dim_d2 = len(component_masks([u.mask for u in I.gens], n, d2))
-    dim_construction_d2 = len(component_masks([u.mask for u in result.ideal.gens], n, d2))
+    dim_d2 = len(split_component([u.mask for u in I.gens], n, d2)[0])
+    dim_construction_d2 = len(split_component([u.mask for u in result.ideal.gens], n, d2)[0])
     threshold_i = comb(n - 2, d1)
     holds_i = dim_d1 >= threshold_i
     a_size = sum(comb(r, d1) for r in range(d1, n - 1))

@@ -20,7 +20,7 @@ import random
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .ideals import MonomialIdeal, component_masks, minimalize
+from .ideals import MonomialIdeal, minimalize, split_component
 from .monomials import Monomial, borel_move_masks, iter_degree_masks
 
 
@@ -125,8 +125,7 @@ def enumerate_strongly_stable_ideals(
         return
     for d1, d2 in combinations(range(1, n + 1), 2):
         for mset in enumerate_strongly_stable_sets(n, d1):
-            gen_masks = [u.mask for u in mset]
-            comp = component_masks(gen_masks, n, d2)
+            comp, _ = split_component([u.mask for u in mset], n, d2)
             comp_set = set(comp)
             base = [Monomial(m) for m in comp]
             for sup in enumerate_strongly_stable_supersets(

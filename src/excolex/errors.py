@@ -55,16 +55,13 @@ class AmbientCapExceeded(RuntimeError):
 
 
 class OracleTooLarge(RuntimeError):
-    """A requested chain space is too big for the homology oracle."""
+    """The oracle's work, as the method that runs measures it, passes its cap."""
 
-    def __init__(self, i: int, j: int, dim: int, cap: int):
-        self.i = i
-        self.j = j
-        self.dim = dim
+    def __init__(self, measure: str, size: int, cap: int):
+        self.measure = measure
+        self.size = size
         self.cap = cap
-        super().__init__(
-            f"chain space at (i={i}, j={j}) has dimension {dim}, above the cap {cap}"
-        )
+        super().__init__(f"{measure} reaches {size}, above the cap {cap}")
 
 
 class TableTooLarge(RuntimeError):

@@ -94,12 +94,6 @@ class MonomialIdeal:
                 return True
         return False
 
-    def reembed(self, n: int) -> "MonomialIdeal":
-        """The same generators read in an ambient of size n."""
-        if n == self.n:
-            return self
-        return MonomialIdeal(n, self.gens)
-
     def as_dict(self) -> dict:
         return {"n": self.n, "generators": [list(u.indices) for u in self.gens]}
 
@@ -159,24 +153,27 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
     return MonomialIdeal(n, [Monomial(m) for m in below + level])
 
 
-def component_masks(gen_masks: Iterable[int], n: int, t: int) -> list[int]:
-    """Masks of the degree-t multiples of any of the generator masks, ascending."""
-    gm = list(gen_masks)
-    out = []
+def split_component(gen_masks: list[int], n: int, t: int) -> tuple[list[int], list[int]]:
+    """The degree-t masks, ascending, split into the multiples of any of the
+    generator masks and the rest. A generator of degree above t divides none."""
+    members: list[int] = []
+    non_members: list[int] = []
     for m in iter_degree_masks(n, t):
-        for g in gm:
+        for g in gen_masks:
             if g & m == g:
-                out.append(m)
+                members.append(m)
                 break
-    return out
+        else:
+            non_members.append(m)
+    return members, non_members
 
 
 def graded_component(I: MonomialIdeal, t: int) -> set[Monomial]:
     """All degree-t monomials of the ideal (the superset test, not iterated shadows)."""
     if not 0 <= t <= I.n:
         raise ContractViolation(f"degree {t} outside 0..{I.n}")
-    gm = [g.mask for g in I.gens if g.degree <= t]
-    return {Monomial(m) for m in component_masks(gm, I.n, t)}
+    members, _ = split_component([g.mask for g in I.gens], I.n, t)
+    return {Monomial(m) for m in members}
 
 
 def degree_profile(I: MonomialIdeal) -> DegreeProfile:

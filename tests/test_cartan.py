@@ -279,7 +279,7 @@ def test_field_size_must_be_a_small_prime(p):
         rank_mod_p([[2, 1], [1, 2]], p)
     # refused before any work, even where the guard would refuse the cells
     with pytest.raises(ContractViolation):
-        cartan_betti(ideal(6, "e1e2e3e4e5e6"), 6, prime=p, max_cell_dim=100)
+        cartan_betti(ideal(6, "e1e2e3e4e5e6"), 6, prime=p, max_cell_dim=10)
 
 
 def test_largest_allowed_field():
@@ -356,27 +356,53 @@ def test_prime_field_ranks_agree_with_rationals():
 
 
 def test_oracle_cell_guard():
-    with pytest.raises(OracleTooLarge):
-        cartan_betti(ideal(6, "e1e2e3e4e5e6"), 6, max_cell_dim=100)
+    # each method refuses by its own measure: the strands walk 3^k subsets
+    # over the first k variables (every support is in the lattice); the direct
+    # chain space at (i=1, j=4) has 20 survivors of degree 3 times 6 power blocks
+    for method, gens in (("strands", ["e1", "e2", "e3", "e4", "e5", "e6"]),
+                         ("direct", ["e1e2e3e4e5e6"])):
+        with pytest.raises(OracleTooLarge):
+            cartan_betti(ideal(6, *gens), 6, method=method, max_cell_dim=100)
 
 
 @pytest.mark.parametrize(
     "n, i_max, cell, top_degree",
-    [(8, 5, (6, 9, 68640), 8), (40, 4, (0, 4, 89355), 4)],
+    [(8, 5, ("(i=6, j=9)", 68640), 8), (40, 4, ("(i=0, j=4)", 89355), 4)],
     ids=["n8", "n40"],
 )
 def test_guard_stops_at_the_first_cell_over_the_cap(n, i_max, cell, top_degree):
-    real = cartan._survivor_masks
+    real = cartan.split_component
 
-    def spy(I, d):
-        # the cells run i ascending, then j: degree d is first reached at (0, d)
-        assert d <= top_degree, f"degree {d} counted past the refused cell"
-        return real(I, d)
+    def spy(gen_masks, n, t):
+        # the cells run i ascending, then j: degree t is first reached at (0, t)
+        assert t <= top_degree, f"degree {t} counted past the refused cell"
+        return real(gen_masks, n, t)
 
-    with patch.object(cartan, "_survivor_masks", spy):
+    with patch.object(cartan, "split_component", spy):
         with pytest.raises(OracleTooLarge) as refusal:
-            cartan_betti(ideal(n, "e1e2", "e1e3", "e2e3"), i_max)
-    assert (refusal.value.i, refusal.value.j, refusal.value.dim) == cell
+            cartan_betti(ideal(n, "e1e2", "e1e3", "e2e3"), i_max, method="direct")
+    where, dim = cell
+    assert where in refusal.value.measure and refusal.value.size == dim
+
+
+def test_guard_sizes_the_strands_not_the_direct_chain_spaces():
+    # the direct path's chain space at (i=6, j=9) has dimension 68640, but
+    # the strands walk 21 subsets over a 5-support lattice
+    I = ideal(8, "e1e2", "e1e3", "e2e3")
+    assert cartan_betti(I, 6).ideal == stable_betti_table(I, 5)
+
+
+def test_strand_guard_refuses_before_any_strand():
+    # the lattice of n variables is every support: 3^n subsets to walk
+    I = ideal(10, *[f"e{k}" for k in range(1, 11)])
+
+    def spy(*args):
+        raise AssertionError("a strand ran past the guard")
+
+    with patch.object(cartan, "_strand_homology", spy):
+        with pytest.raises(OracleTooLarge) as refusal:
+            cartan_betti(I, 2)
+    assert refusal.value.size > refusal.value.cap == cartan.DEFAULT_CELL_CAP
 
 
 def test_oracle_requires_room_for_the_shift():

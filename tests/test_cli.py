@@ -391,3 +391,15 @@ def test_closed_form_table_cap_is_resource_exit(capsys, ex_small, argv):
         code, out, err = run(capsys, *argv)
     assert code == 3
     assert not out and "cells" in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_oracle_strand_guard_is_resource_exit(capsys, tmp_path):
+    # every chain space past degree 0 is empty, but the LCM lattice is all
+    # 2^16 supports, 3^16 subsets for the strands to walk
+    variables = {"n": 16, "generators": [[k] for k in range(1, 17)]}
+    path = write_ideal(tmp_path, "variables.json", variables)
+    with deadline(1.0):
+        code, out, err = run(capsys, "betti", "--input", path, "--oracle")
+    assert code == 3
+    assert not out and "LCM lattice" in err

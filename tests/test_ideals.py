@@ -10,13 +10,13 @@ from excolex.enumeration import enumerate_strongly_stable_ideals
 from excolex.errors import ContractViolation
 from excolex.ideals import (
     MonomialIdeal,
-    component_masks,
     degree_profile,
     graded_component,
     is_strongly_stable_ideal,
     is_strongly_stable_ideal_componentwise,
     minimalize,
     parse_monomial,
+    split_component,
 )
 from excolex.monomials import Monomial, iter_degree_masks, shadow
 
@@ -60,7 +60,7 @@ def test_structural_equality():
     a = ideal(4, "e1e2", "e3e4")
     b = MonomialIdeal(4, (M("e3e4"), M("e1e2")))
     assert a == b
-    assert a != a.reembed(5)
+    assert a != MonomialIdeal(5, a.gens)
 
 
 def test_graded_component_multiples():
@@ -189,14 +189,6 @@ def test_parse_monomial_forms():
         parse_monomial(12)
 
 
-def test_reembed():
-    I = ideal(5, "e1e2", "e1e3e4")
-    assert I.reembed(7).n == 7
-    assert I.reembed(7).gens == I.gens
-    with pytest.raises(ContractViolation):
-        I.reembed(3)
-
-
 def test_from_dict_requires_a_generator_list():
     for raw in (5, "e1e2", {"e1": 1}, None):
         with pytest.raises(ContractViolation):
@@ -235,10 +227,10 @@ def first_divisibility_reference(gens):
 def test_component_masks_is_the_superset_filter(case, t):
     n, masks = case
     t = min(t, n)
-    expected = [
-        m for m in iter_degree_masks(n, t) if any(g & m == g for g in masks)
-    ]
-    assert component_masks(masks, n, t) == expected
+    inside = [any(g & m == g for g in masks) for m in iter_degree_masks(n, t)]
+    members = [m for m, hit in zip(iter_degree_masks(n, t), inside) if hit]
+    non_members = [m for m, hit in zip(iter_degree_masks(n, t), inside) if not hit]
+    assert split_component(masks, n, t) == (members, non_members)
 
 
 @given(mask_lists, st.integers(0, 127))
