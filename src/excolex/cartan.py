@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .betti import MAX_TABLE_CELLS, SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from .errors import ContractViolation, OracleTooLarge, TableTooLarge, clipped_repr
-from .ideals import MonomialIdeal, split_component
+from .ideals import MonomialIdeal, scan_component
 from .monomials import Monomial
 
 DEFAULT_PRIME = 32003
@@ -72,7 +72,8 @@ def chain_space(I: MonomialIdeal, i: int, j: int) -> list[CartanBasisElement]:
     d = j - i
     if d < 0 or d > I.n:
         return []
-    survivors = [Monomial(m) for m in split_component([g.mask for g in I.gens], I.n, d)[1]]
+    gen_masks = [g.mask for g in I.gens]
+    survivors = [Monomial(m) for m, inside in scan_component(gen_masks, I.n, d) if not inside]
     if not survivors:
         return []
     powers = list(_compositions(i, I.n))
@@ -177,12 +178,13 @@ class CartanTables(NamedTuple):
 
 
 def _guard_dimensions(I: MonomialIdeal, i_max: int, cap: int) -> None:
+    gen_masks = [g.mask for g in I.gens]
     survivors: list[int] = []  # by degree, counted on first need: a refusal stops early
     for i in range(i_max + 2):
         blocks = comb(I.n + i - 1, i)
         for d in range(min(I.n, I.n + i_max - i) + 1):  # j = i + d up to n + i_max
             if d == len(survivors):  # row i = 0 reaches every degree, in order
-                survivors.append(len(split_component([g.mask for g in I.gens], I.n, d)[1]))
+                survivors.append(sum(not inside for _, inside in scan_component(gen_masks, I.n, d)))
             dim = survivors[d] * blocks
             if dim > cap:
                 raise OracleTooLarge(f"chain space dimension at (i={i}, j={i + d})", dim, cap)
@@ -238,12 +240,12 @@ def _betti_by_strands(
     entries: dict[tuple[int, int], int] = {}
     gen_masks = [g.mask for g in I.gens]
     lattice = {0}  # the unions of generators: every other strand is a cone
-    work = 1  # the subsets the strands walk: 2^|S| summed over the lattice
+    work = 0  # the strands' boundary entries, |S| 2^(|S|-1) summed over the lattice
     for g in gen_masks:
         grown = {s | g for s in lattice} - lattice
-        work += sum(1 << s.bit_count() for s in grown)
+        work += sum(s.bit_count() << (s.bit_count() - 1) for s in grown)
         if work > cap:  # refused before the lattice passes the cap
-            raise OracleTooLarge("strand work (2^|S| summed over the LCM lattice)", work, cap)
+            raise OracleTooLarge("strand boundary entries over the LCM lattice", work, cap)
         lattice |= grown
     for support in sorted(lattice):
         homology = _strand_homology(gen_masks, support, rank_fn)

@@ -10,7 +10,7 @@ ambient-stability can be checked by rerunning the greedy at larger m.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import groupby
+from itertools import dropwhile, groupby, islice
 from math import comb
 
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     NotARevlexSegment,
     clipped_repr,
 )
-from .ideals import DegreeProfile, MonomialIdeal, degree_profile, split_component
+from .ideals import DegreeProfile, MonomialIdeal, degree_profile, scan_component
 from .monomials import (
     Monomial,
     common_degree,
@@ -56,14 +56,14 @@ def greedy_generators(profile: DegreeProfile, m: int) -> tuple[Monomial, ...] | 
     """One construction attempt at a fixed ambient size, or None when a degree starves.
 
     Masks ascend in revlex-descending order, so the first picks not divisible
-    by an earlier choice are exactly the revlex-largest available monomials.
-    """
+    by an earlier choice are exactly the revlex-largest available monomials."""
     chosen: list[int] = []
     for degree, count in profile:
-        _, available = split_component(chosen, m, degree)
-        if len(available) < count:
+        available = (mask for mask, inside in scan_component(chosen, m, degree) if not inside)
+        picks = list(islice(available, count))  # the scan stops at the count-th pick
+        if len(picks) < count:
             return None
-        chosen += available[:count]
+        chosen += picks
     return tuple(Monomial(mask) for mask in chosen)
 
 
@@ -100,10 +100,10 @@ def is_revlex_ideal(I: MonomialIdeal) -> bool:
     along the ascending masks of each degree, no member follows a non-member."""
     masks = [u.mask for u in I.gens]
     for t in range(I.indeg, I.n + 1):
-        members, non_members = split_component(masks, I.n, t)
-        if not non_members:  # every degree-t monomial is in, so every higher one is
+        rest = dropwhile(bool, (inside for _, inside in scan_component(masks, I.n, t)))
+        if next(rest, None) is None:  # every degree-t monomial is in, so every higher one is
             return True
-        if members and members[-1] > non_members[0]:
+        if any(rest):  # a member after the first non-member
             return False
     return True
 
@@ -181,8 +181,10 @@ def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:
     if not d2 < n - 2:
         raise HypothesisViolated(f"need d2 < n-2, got d2 = {d2}, n = {n}")
     dim_d1 = p1  # the initial-degree component is spanned by its generators
-    dim_d2 = len(split_component([u.mask for u in I.gens], n, d2)[0])
-    dim_construction_d2 = len(split_component([u.mask for u in result.ideal.gens], n, d2)[0])
+    dim_d2 = sum(inside for _, inside in scan_component([u.mask for u in I.gens], n, d2))
+    dim_construction_d2 = sum(
+        inside for _, inside in scan_component([u.mask for u in result.ideal.gens], n, d2)
+    )
     threshold_i = comb(n - 2, d1)
     holds_i = dim_d1 >= threshold_i
     a_size = sum(comb(r, d1) for r in range(d1, n - 1))

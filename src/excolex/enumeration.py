@@ -20,7 +20,7 @@ import random
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .ideals import MonomialIdeal, minimalize, split_component
+from .ideals import MonomialIdeal, minimalize, scan_component
 from .monomials import Monomial, borel_move_masks, iter_degree_masks
 
 
@@ -125,7 +125,7 @@ def enumerate_strongly_stable_ideals(
         return
     for d1, d2 in combinations(range(1, n + 1), 2):
         for mset in enumerate_strongly_stable_sets(n, d1):
-            comp, _ = split_component([u.mask for u in mset], n, d2)
+            comp = [m for m, inside in scan_component([u.mask for u in mset], n, d2) if inside]
             comp_set = set(comp)
             base = [Monomial(m) for m in comp]
             for sup in enumerate_strongly_stable_supersets(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ContractViolation, clipped_repr
 from .monomials import (
@@ -153,27 +153,23 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
     return MonomialIdeal(n, [Monomial(m) for m in below + level])
 
 
-def split_component(gen_masks: list[int], n: int, t: int) -> tuple[list[int], list[int]]:
-    """The degree-t masks, ascending, split into the multiples of any of the
-    generator masks and the rest. A generator of degree above t divides none."""
-    members: list[int] = []
-    non_members: list[int] = []
+def scan_component(gen_masks: list[int], n: int, t: int) -> Iterator[tuple[int, bool]]:
+    """The degree-t masks, ascending, each with whether a generator mask divides it
+    (none of degree above t does). Lazy: a caller stops once it has what it needs."""
     for m in iter_degree_masks(n, t):
         for g in gen_masks:
             if g & m == g:
-                members.append(m)
+                yield m, True
                 break
         else:
-            non_members.append(m)
-    return members, non_members
+            yield m, False
 
 
 def graded_component(I: MonomialIdeal, t: int) -> set[Monomial]:
     """All degree-t monomials of the ideal (the superset test, not iterated shadows)."""
     if not 0 <= t <= I.n:
         raise ContractViolation(f"degree {t} outside 0..{I.n}")
-    members, _ = split_component([g.mask for g in I.gens], I.n, t)
-    return {Monomial(m) for m in members}
+    return {Monomial(m) for m, inside in scan_component([g.mask for g in I.gens], I.n, t) if inside}
 
 
 def degree_profile(I: MonomialIdeal) -> DegreeProfile:

@@ -356,9 +356,10 @@ def test_prime_field_ranks_agree_with_rationals():
 
 
 def test_oracle_cell_guard():
-    # each method refuses by its own measure: the strands walk 3^k subsets
-    # over the first k variables (every support is in the lattice); the direct
-    # chain space at (i=1, j=4) has 20 survivors of degree 3 times 6 power blocks
+    # each method refuses by its own measure: the strands' boundaries over the
+    # first k variables hold k 3^(k-1) entries (every support is in the
+    # lattice); the direct chain space at (i=1, j=4) has 20 survivors of
+    # degree 3 times 6 power blocks
     for method, gens in (("strands", ["e1", "e2", "e3", "e4", "e5", "e6"]),
                          ("direct", ["e1e2e3e4e5e6"])):
         with pytest.raises(OracleTooLarge):
@@ -371,14 +372,14 @@ def test_oracle_cell_guard():
     ids=["n8", "n40"],
 )
 def test_guard_stops_at_the_first_cell_over_the_cap(n, i_max, cell, top_degree):
-    real = cartan.split_component
+    real = cartan.scan_component
 
     def spy(gen_masks, n, t):
         # the cells run i ascending, then j: degree t is first reached at (0, t)
         assert t <= top_degree, f"degree {t} counted past the refused cell"
         return real(gen_masks, n, t)
 
-    with patch.object(cartan, "split_component", spy):
+    with patch.object(cartan, "scan_component", spy):
         with pytest.raises(OracleTooLarge) as refusal:
             cartan_betti(ideal(n, "e1e2", "e1e3", "e2e3"), i_max, method="direct")
     where, dim = cell
@@ -387,13 +388,13 @@ def test_guard_stops_at_the_first_cell_over_the_cap(n, i_max, cell, top_degree):
 
 def test_guard_sizes_the_strands_not_the_direct_chain_spaces():
     # the direct path's chain space at (i=6, j=9) has dimension 68640, but
-    # the strands walk 21 subsets over a 5-support lattice
+    # the strands' boundaries hold 24 entries over a 5-support lattice
     I = ideal(8, "e1e2", "e1e3", "e2e3")
     assert cartan_betti(I, 6).ideal == stable_betti_table(I, 5)
 
 
 def test_strand_guard_refuses_before_any_strand():
-    # the lattice of n variables is every support: 3^n subsets to walk
+    # the lattice of n variables is every support: n 3^(n-1) boundary entries
     I = ideal(10, *[f"e{k}" for k in range(1, 11)])
 
     def spy(*args):

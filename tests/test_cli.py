@@ -403,3 +403,27 @@ def test_oracle_strand_guard_is_resource_exit(capsys, tmp_path):
         code, out, err = run(capsys, "betti", "--input", path, "--oracle")
     assert code == 3
     assert not out and "LCM lattice" in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_oracle_strand_guard_admits_desk_time_only(capsys, tmp_path):
+    # one support of size s has s 2^(s-1) boundary entries: s = 12 is the
+    # largest under the default cap, and its ranks fill in most of the work
+    for s, expected in ((12, 0), (13, 3), (15, 3)):
+        single = {"n": s, "generators": [list(range(1, s + 1))]}
+        path = write_ideal(tmp_path, f"single{s}.json", single)
+        with deadline(5.0):
+            code, _, err = run(capsys, "betti", "--input", path, "--oracle", "--i-max", "2")
+        assert code == expected, err
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_colex_stops_at_the_last_pick(capsys, tmp_path):
+    # the degree-16 component over n = 32 has C(32, 16) monomials; the first is the pick
+    single = {"n": 32, "generators": [list(range(1, 17))]}
+    path = write_ideal(tmp_path, "half.json", single)
+    with deadline(1.0):
+        code, out, _ = run(capsys, "colex", "--input", path)
+    assert code == 0
+    result = json.loads(out)
+    assert result["m"] == 32 and result["J"]["generators"] == [list(range(1, 17))]

@@ -16,7 +16,7 @@ from excolex.ideals import (
     is_strongly_stable_ideal_componentwise,
     minimalize,
     parse_monomial,
-    split_component,
+    scan_component,
 )
 from excolex.monomials import Monomial, iter_degree_masks, shadow
 
@@ -227,10 +227,8 @@ def first_divisibility_reference(gens):
 def test_component_masks_is_the_superset_filter(case, t):
     n, masks = case
     t = min(t, n)
-    inside = [any(g & m == g for g in masks) for m in iter_degree_masks(n, t)]
-    members = [m for m, hit in zip(iter_degree_masks(n, t), inside) if hit]
-    non_members = [m for m, hit in zip(iter_degree_masks(n, t), inside) if not hit]
-    assert split_component(masks, n, t) == (members, non_members)
+    expected = [(m, any(g & m == g for g in masks)) for m in iter_degree_masks(n, t)]
+    assert list(scan_component(masks, n, t)) == expected
 
 
 @given(mask_lists, st.integers(0, 127))
