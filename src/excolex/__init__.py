@@ -34,7 +34,6 @@ from .enumeration import (
     enumerate_proper_ideals,
     enumerate_strongly_stable_ideals,
     enumerate_strongly_stable_sets,
-    enumerate_strongly_stable_supersets,
 )
 from .errors import (
     AmbientCapExceeded,
@@ -63,7 +62,6 @@ from .monomials import (
     common_degree,
     is_stable,
     is_strongly_stable,
-    max_index_counts,
     monomials_of_degree,
     multiples_by,
     partial_shadow,

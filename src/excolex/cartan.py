@@ -33,6 +33,9 @@ from .ideals import MonomialIdeal, scan_component
 from .monomials import Monomial
 
 DEFAULT_PRIME = 32003
+# The default ``max_cell_dim``: it bounds the strands' boundary entries,
+# |S| 2^(|S|-1) summed over the LCM lattice's supports S, or, for the direct
+# method, each chain space's dimension.
 DEFAULT_CELL_CAP = 50_000
 
 

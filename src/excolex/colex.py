@@ -3,8 +3,11 @@
 Given the degree profile of an ideal, the construction picks, degree by
 degree, the revlex-largest monomials not already generated, over the smallest
 ambient e_1..e_m (m at least the input ambient) where every degree can be
-served. Greedy attempts at a fixed m are kept separate from the scan so that
-ambient-stability can be checked by rerunning the greedy at larger m.
+served. One greedy pass at the cap finds that m: the degree-d masks below 2^m
+are a prefix of the ascending degree-d masks of any larger ambient, so the
+greedy at m succeeds exactly when every pick at the cap lies in e_1..e_m, and
+then both pick the same masks. ``greedy_generators`` takes the ambient as an
+argument so that this can be checked by rerunning it at larger m.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import (
 )
 from .ideals import DegreeProfile, MonomialIdeal, degree_profile, scan_component
 from .monomials import (
+    MAX_VARIABLES,
     Monomial,
     common_degree,
     iter_degree_masks,
@@ -70,18 +74,19 @@ def greedy_generators(profile: DegreeProfile, m: int) -> tuple[Monomial, ...] | 
 def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> ColexResult:
     """The colexsegment ideal of I and the smallest workable ambient size.
 
-    The scan starts at I's own ambient and only ever adds variables, matching
-    the two worked construction examples (m = 5 and m = 6). Feasibility is not
-    assumed monotone in m; every candidate reruns the greedy from scratch.
+    The ambient starts at I's own and only ever adds variables, matching the
+    two worked construction examples (m = 5 and m = 6). One greedy pass at the
+    cap, clamped to MAX_VARIABLES, picks what the greedy at every workable m
+    picks (see the module docstring): m is I.n or the largest index picked.
     """
     if m_cap < I.n:
         raise ContractViolation(f"m_cap {clipped_repr(m_cap)} below the ambient size {I.n}")
-    profile = degree_profile(I)
-    for m in range(I.n, m_cap + 1):
-        gens = greedy_generators(profile, m)
-        if gens is not None:
-            return ColexResult(MonomialIdeal(m, gens), m)
-    raise AmbientCapExceeded(m_cap, m_cap)
+    cap = min(m_cap, MAX_VARIABLES)
+    gens = greedy_generators(degree_profile(I), cap)
+    if gens is None:
+        raise AmbientCapExceeded(cap)
+    m = max(I.n, *(u.max_index for u in gens))
+    return ColexResult(MonomialIdeal(m, gens), m)
 
 
 def is_revlex_segment(monos, n: int) -> bool:

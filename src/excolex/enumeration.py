@@ -84,24 +84,6 @@ def enumerate_strongly_stable_sets(n: int, d: int) -> Iterator[tuple[Monomial, .
         yield tuple(chosen)
 
 
-def enumerate_strongly_stable_supersets(
-    n: int,
-    d: int,
-    base: Iterable[Monomial],
-    max_extra: int | None = None,
-) -> Iterator[tuple[Monomial, ...]]:
-    """Strongly stable degree-d sets containing ``base`` (assumed down-closed).
-
-    The base itself is yielded first. ``max_extra`` caps how many monomials
-    beyond the base may be added.
-    """
-    base_masks = {u.mask for u in base}
-    elems = [m for m in iter_degree_masks(n, d) if m not in base_masks]
-    base_monos = [Monomial(m) for m in base_masks]
-    for chosen in _down_sets(elems, borel_move_masks, base_masks, max_extra):
-        yield tuple(sorted(base_monos + chosen))
-
-
 def enumerate_strongly_stable_ideals(
     n: int,
     max_degrees: int = 2,
@@ -125,16 +107,13 @@ def enumerate_strongly_stable_ideals(
         return
     for d1, d2 in combinations(range(1, n + 1), 2):
         for mset in enumerate_strongly_stable_sets(n, d1):
-            comp = [m for m, inside in scan_component([u.mask for u in mset], n, d2) if inside]
-            comp_set = set(comp)
-            base = [Monomial(m) for m in comp]
-            for sup in enumerate_strongly_stable_supersets(
-                n, d2, base, max_extra=max_extra
-            ):
-                extra = [u for u in sup if u.mask not in comp_set]
-                if not extra:
-                    continue
-                yield MonomialIdeal(n, list(mset) + extra)
+            scan = list(scan_component([u.mask for u in mset], n, d2))
+            members = {m for m, inside in scan if inside}
+            outside = [m for m, inside in scan if not inside]
+            walk = _down_sets(outside, borel_move_masks, members, max_extra)
+            next(walk)  # adding nothing leaves d2 without generators
+            for extra in walk:
+                yield MonomialIdeal(n, [*mset, *extra])
 
 
 def enumerate_proper_ideals(n: int) -> Iterator[MonomialIdeal]:

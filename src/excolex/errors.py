@@ -44,14 +44,11 @@ class ProfileMismatch(ContractViolation):
 
 
 class AmbientCapExceeded(RuntimeError):
-    """The construction scan ran past its ambient-size cap."""
+    """The construction starved at its ambient-size cap."""
 
-    def __init__(self, last_m: int, cap: int):
-        self.last_m = last_m
+    def __init__(self, cap: int):
         self.cap = cap
-        super().__init__(
-            f"construction still incomplete at ambient size {last_m} (cap {cap})"
-        )
+        super().__init__(f"construction still incomplete at ambient size {cap} (cap {cap})")
 
 
 class OracleTooLarge(RuntimeError):

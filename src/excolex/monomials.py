@@ -230,14 +230,6 @@ def restrict_max_index(monos: Iterable[Monomial], p: int) -> set[Monomial]:
     return {u for u in monos if u.max_index <= p}
 
 
-def max_index_counts(monos: Iterable[Monomial]) -> dict[int, int]:
-    """How many members have each value of the largest index, keyed ascending."""
-    out: dict[int, int] = {}
-    for u in monos:
-        out[u.max_index] = out.get(u.max_index, 0) + 1
-    return dict(sorted(out.items()))
-
-
 def borel_move_masks(mask: int) -> Iterator[int]:
     """Masks reached from ``mask`` by one index-lowering move j -> i, i < j unused."""
     rest = mask

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from excolex import colex
+from excolex.cli import main
 from excolex.colex import (
     colex_ideal,
     greedy_generators,
@@ -17,7 +19,7 @@ from excolex.colex import (
     revlex_conditions_two_degrees,
     segment_shadow_conditions,
 )
-from excolex.enumeration import enumerate_strongly_stable_ideals
+from excolex.enumeration import enumerate_proper_ideals, enumerate_strongly_stable_ideals
 from excolex.errors import (
     AmbientCapExceeded,
     ContractViolation,
@@ -114,6 +116,72 @@ def test_cap_errors():
         colex_ideal(needs_six, m_cap=5)
     with pytest.raises(ContractViolation):
         colex_ideal(needs_six, m_cap=3)  # cap below the ambient
+
+
+def test_one_greedy_pass(monkeypatch):
+    # served first at m = 6: one pass at the cap finds that, with no rerun at m = 5
+    needs_six = ideal(5, "e1e2", "e1e3", "e1e4", "e1e5", "e2e3e4", "e2e3e5", "e2e4e5")
+    calls = []
+
+    def spy(profile, m):
+        calls.append(m)
+        return greedy_generators(profile, m)
+
+    monkeypatch.setattr(colex, "greedy_generators", spy)
+    assert colex_ideal(needs_six).m == 6
+    assert len(calls) == 1
+
+
+def test_cap_is_clamped_to_the_mask_width(capsys, tmp_path):
+    # an unclamped pass would build 1 << 10**18 in the mask scan
+    I = ideal(5, "e1e2", "e1e3", "e1e4", "e1e5", "e2e3e4", "e2e3e5", "e2e4e5")
+    assert colex_ideal(I, m_cap=10**18) == colex_ideal(I)
+    path = tmp_path / "needs_six.json"
+    path.write_text(json.dumps(I.as_dict()))
+    assert main(["colex", "--input", str(path)]) == 0
+    default = capsys.readouterr().out
+    assert main(["colex", "--input", str(path), "--m-cap", str(10**18)]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_construction_past_the_mask_width_is_resource_exit(capsys, tmp_path):
+    # valid at n = 64; its construction needs a 65th variable, which no mask
+    # holds, so a cap above 64 refuses it as the cap 64 does
+    texts = [f"e{i}" for i in range(1, 60)] + [
+        "e60e61", "e60e62", "e60e63", "e60e64", "e61e62e63", "e61e62e64", "e61e63e64",
+    ]
+    path = tmp_path / "n64.json"
+    path.write_text(json.dumps(ideal(64, *texts).as_dict()))
+    for cap in ("64", "70"):
+        assert main(["colex", "--input", str(path), "--m-cap", cap]) == 3
+        assert capsys.readouterr().err.endswith(
+            "construction still incomplete at ambient size 64 (cap 64)\n"
+        )
+
+
+def test_construction_over_caps_is_pinned():
+    # every proper ideal with n <= 4, then every strongly stable one with
+    # n <= 6, in stream order, each at the caps n, n + 1 and n + 2
+    ideals = [I for n in range(1, 5) for I in enumerate_proper_ideals(n)]
+    ideals += [I for n in range(1, 7) for I in enumerate_strongly_stable_ideals(n)]
+    digest = hashlib.sha256()
+    lines = extended = refused = 0
+    for I in ideals:
+        for cap in (I.n, I.n + 1, I.n + 2):
+            try:
+                result = colex_ideal(I, m_cap=cap)
+            except AmbientCapExceeded:
+                line = "AmbientCapExceeded"
+                refused += 1
+            else:
+                line = json.dumps(result.as_dict(), sort_keys=True)
+                extended += result.m > I.n
+            digest.update((line + "\n").encode())
+            lines += 1
+    assert (lines, extended, refused) == (3432, 321, 162)
+    assert digest.hexdigest() == (
+        "98ba55eeee9928a0bba63d78a6adf000e3e45b92dca8d21c5f41c8c1e33bed6d"
+    )
 
 
 def test_greedy_rerun_is_ambient_stable():

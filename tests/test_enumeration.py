@@ -7,18 +7,16 @@ walk over all proper monomial ideals (ideals) at small sizes, then frozen.
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from excolex.enumeration import (
     enumerate_proper_ideals,
     enumerate_strongly_stable_ideals,
     enumerate_strongly_stable_sets,
-    enumerate_strongly_stable_supersets,
 )
 from excolex.ideals import (
     MonomialIdeal,
     degree_profile,
+    graded_component,
     is_strongly_stable_ideal,
 )
 from excolex.monomials import (
@@ -27,8 +25,6 @@ from excolex.monomials import (
     is_strongly_stable,
     iter_degree_masks,
 )
-
-M = Monomial.from_text
 
 
 def brute_force_sets(n, d):
@@ -74,16 +70,6 @@ def test_sets_stream_is_deterministic():
     first = list(enumerate_strongly_stable_sets(5, 3))
     second = list(enumerate_strongly_stable_sets(5, 3))
     assert first == second
-
-
-def test_supersets_contain_base_and_respect_cap():
-    base = [M("e1e2"), M("e1e3")]
-    everything = list(enumerate_strongly_stable_supersets(4, 2, base))
-    assert all(set(base) <= set(s) for s in everything)
-    assert all(is_strongly_stable(set(s)) for s in everything)
-    capped = list(enumerate_strongly_stable_supersets(4, 2, base, max_extra=1))
-    assert max(len(s) for s in capped) <= len(base) + 1
-    assert {frozenset(s) for s in capped} <= {frozenset(s) for s in everything}
 
 
 def all_proper_ideals(n):
@@ -188,20 +174,20 @@ def test_sets_stream_matches_recursive_walk(n):
         assert list(enumerate_strongly_stable_sets(n, d)) == expected
 
 
-@given(
-    st.integers(2, 7).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 10**6))
-    ),
-    st.one_of(st.none(), st.integers(0, 4)),
-)
-@settings(max_examples=60, deadline=None)
-def test_supersets_stream_matches_recursive_walk(case, max_extra):
-    n, d, pick = case
-    sets = [()] + list(enumerate_strongly_stable_sets(n, d))
-    base = sets[pick % len(sets)]
-    expected = recursive_down_sets(n, d, base, max_extra)
-    got = list(enumerate_strongly_stable_supersets(n, d, base, max_extra=max_extra))
-    assert got == expected
+@pytest.mark.parametrize("max_extra", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_two_degree_stream_matches_recursive_walk(n, max_extra):
+    # the two-degree tail: every d1 < d2 and every degree-d1 set, in stream
+    # order, extended by every nonempty down-closed choice of new generators
+    expected = []
+    for d1, d2 in itertools.combinations(range(1, n + 1), 2):
+        for mset in enumerate_strongly_stable_sets(n, d1):
+            base = graded_component(MonomialIdeal(n, mset), d2)
+            for sup in recursive_down_sets(n, d2, base, max_extra)[1:]:
+                expected.append(MonomialIdeal(n, [*mset, *(u for u in sup if u not in base)]))
+    stream = list(enumerate_strongly_stable_ideals(n, max_extra=max_extra))
+    singles = sum(1 for d in range(1, n + 1) for _ in enumerate_strongly_stable_sets(n, d))
+    assert stream[singles:] == expected
 
 
 def test_walk_is_not_bounded_by_the_recursion_limit():

@@ -19,7 +19,6 @@ from excolex.monomials import (
     common_degree,
     is_stable,
     is_strongly_stable,
-    max_index_counts,
     monomials_of_degree,
     multiples_by,
     partial_shadow,
@@ -228,15 +227,11 @@ def test_restrict_max_index():
 
 def test_max_index_counts():
     monos = mset("e1e2", "e1e3", "e2e3", "e1e4")
-    assert max_index_counts(monos) == {2: 1, 3: 2, 4: 1}
     assert len(restrict_max_index(monos, 3)) == 3
-    assert max_index_counts([]) == {}
 
 
 def test_count_consistency():
     monos = set(revlex_segment(6, 3, 11))
-    counts = max_index_counts(monos)
-    assert sum(counts.values()) == len(monos)
     assert len(restrict_max_index(monos, 6)) == len(monos)
 
 
