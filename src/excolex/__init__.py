@@ -11,18 +11,16 @@ from .betti import (
     tables_agree,
 )
 from .cartan import (
-    CartanBasisElement,
     CartanTables,
     cartan_betti,
     chain_space,
-    differential,
     exact_rank,
     rank_mod_p,
 )
 from .colex import (
-    ColexResult,
     RevlexConditionReport,
     colex_ideal,
+    construction_dict,
     greedy_generators,
     is_revlex_ideal,
     is_revlex_segment,
@@ -37,6 +35,7 @@ from .enumeration import (
 )
 from .errors import (
     AmbientCapExceeded,
+    ConstructionTooLarge,
     ContractViolation,
     DegreeTooHigh,
     FormulaInapplicable,

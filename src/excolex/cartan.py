@@ -30,28 +30,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .betti import MAX_TABLE_CELLS, SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from .errors import ContractViolation, OracleTooLarge, TableTooLarge, clipped_repr
 from .ideals import MonomialIdeal, scan_component
-from .monomials import Monomial
 
 DEFAULT_PRIME = 32003
 # The default ``max_cell_dim``: it bounds the strands' boundary entries,
 # |S| 2^(|S|-1) summed over the LCM lattice's supports S, or, for the direct
 # method, each chain space's dimension.
 DEFAULT_CELL_CAP = 50_000
-
-
-class CartanBasisElement(NamedTuple):
-    """A surviving monomial paired with a divided-power multi-index."""
-
-    mono: Monomial
-    powers: tuple[int, ...]
-
-    @property
-    def homological_degree(self) -> int:
-        return sum(self.powers)
-
-    @property
-    def internal_degree(self) -> int:
-        return self.mono.degree + sum(self.powers)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -64,11 +48,11 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def chain_space(I: MonomialIdeal, i: int, j: int) -> list[CartanBasisElement]:
+def chain_space(I: MonomialIdeal, i: int, j: int) -> list[tuple[int, tuple[int, ...]]]:
     """Ordered basis at homological degree i, internal degree j.
 
-    Pairs (monomial outside the ideal of degree j-i, multi-index summing to i),
-    ordered by revlex on the monomial then lex on the multi-index.
+    Pairs (mask of a monomial outside the ideal of degree j-i, multi-index
+    summing to i), ordered by revlex on the monomial then lex on the multi-index.
     """
     if i < 0 or j < 0:
         raise ContractViolation(f"degrees must be nonnegative, got ({i}, {j})")
@@ -76,15 +60,18 @@ def chain_space(I: MonomialIdeal, i: int, j: int) -> list[CartanBasisElement]:
     if d < 0 or d > I.n:
         return []
     gen_masks = [g.mask for g in I.gens]
-    survivors = [Monomial(m) for m, inside in scan_component(gen_masks, I.n, d) if not inside]
-    if not survivors:
-        return []
-    powers = list(_compositions(i, I.n))
-    return [CartanBasisElement(s, a) for s in survivors for a in powers]
+    survivors = [m for m, inside in scan_component(gen_masks, I.n, d) if not inside]
+    powers = list(_compositions(i, I.n)) if survivors else []
+    return [(s, a) for s in survivors for a in powers]
 
 
 def _boundary_terms(mask: int, powers: tuple, gen_masks: list[int]) -> list[tuple]:
-    """``differential`` on the monomial's mask, as (sign, mask, powers) terms."""
+    """The boundary of one basis element (mask, powers), as (sign, mask, powers) terms.
+
+    Preserves internal degree and drops homological degree by one. Terms where
+    the new index already divides the monomial, or where the product lies in
+    the ideal, vanish.
+    """
     out = []
     for k, a_k in enumerate(powers):
         bit = 1 << k
@@ -98,21 +85,6 @@ def _boundary_terms(mask: int, powers: tuple, gen_masks: list[int]) -> list[tupl
             sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
             out.append((sign, grown, powers[:k] + (a_k - 1,) + powers[k + 1:]))
     return out
-
-
-def differential(
-    elem: CartanBasisElement, I: MonomialIdeal
-) -> list[tuple[int, CartanBasisElement]]:
-    """The boundary of one basis element, as (sign, element) terms.
-
-    Preserves internal degree and drops homological degree by one. Terms where
-    the new index already divides the monomial, or where the product lies in
-    the ideal, vanish.
-    """
-    if elem.homological_degree < 1:
-        raise ContractViolation("boundary needs homological degree at least 1")
-    terms = _boundary_terms(elem.mono.mask, elem.powers, [g.mask for g in I.gens])
-    return [(sign, CartanBasisElement(Monomial(m), a)) for sign, m, a in terms]
 
 
 @lru_cache(maxsize=None, typed=True)  # a rejected p raises, so is never cached
@@ -279,11 +251,9 @@ def _betti_direct(I: MonomialIdeal, i_max: int, rank_fn) -> dict[tuple[int, int]
             if not src or not dst:
                 ranks.append(0)
                 continue
-            position = {(e.mono.mask, e.powers): c for c, e in enumerate(dst)}
-            rows = []  # one row per source element: its boundary
-            for e in src:
-                terms = _boundary_terms(e.mono.mask, e.powers, gen_masks)
-                rows.append({position[m, a]: sign for sign, m, a in terms})
+            position = {elem: c for c, elem in enumerate(dst)}
+            boundaries = (_boundary_terms(mask, powers, gen_masks) for mask, powers in src)
+            rows = [{position[m, a]: sign for sign, m, a in terms} for terms in boundaries]
             ranks.append(rank_fn(rows))
         # level i_max + 1 misses its outgoing rank; only lower levels are kept
         for i, h in _homology([len(space) for space in spaces], ranks).items():

@@ -13,10 +13,11 @@ import sys
 
 from .betti import compare_betti, stable_betti_table, tables_agree
 from .cartan import cartan_betti
-from .colex import DEFAULT_AMBIENT_CAP, colex_ideal
+from .colex import DEFAULT_AMBIENT_CAP, colex_ideal, construction_dict
 from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
 from .errors import (
     AmbientCapExceeded,
+    ConstructionTooLarge,
     ContractViolation,
     OracleTooLarge,
     TableTooLarge,
@@ -54,8 +55,7 @@ def _emit(obj) -> None:
 
 def _cmd_colex(args) -> int:
     I = _read_ideal(args.input, args.text)
-    result = colex_ideal(I, m_cap=args.m_cap)
-    _emit(result.as_dict())
+    _emit(construction_dict(colex_ideal(I, m_cap=args.m_cap)))
     return EXIT_OK
 
 
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AmbientCapExceeded, OracleTooLarge, TableTooLarge) as exc:
+    except (AmbientCapExceeded, ConstructionTooLarge, OracleTooLarge, TableTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -13,18 +13,19 @@ argument so that this can be checked by rerunning it at larger m.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import dropwhile, groupby, islice
+from itertools import dropwhile, groupby
 from math import comb
 
 from .errors import (
     AmbientCapExceeded,
+    ConstructionTooLarge,
     ContractViolation,
     DegreeTooHigh,
     HypothesisViolated,
     NotARevlexSegment,
     clipped_repr,
 )
-from .ideals import DegreeProfile, MonomialIdeal, degree_profile, scan_component
+from .ideals import DegreeProfile, MonomialIdeal, degree_profile, graded_component, scan_component
 from .monomials import (
     MAX_VARIABLES,
     Monomial,
@@ -38,41 +39,35 @@ from .monomials import (
 
 # Largest ambient size the construction scan tries unless told otherwise.
 DEFAULT_AMBIENT_CAP = 32
-
-
-@dataclass(frozen=True)
-class ColexResult:
-    ideal: MonomialIdeal
-    m: int
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "J": self.ideal.as_dict(),
-            "steps": [
-                {"degree": degree, "chosen": [list(u.indices) for u in chosen]}
-                for degree, chosen in groupby(self.ideal.gens, key=lambda u: u.degree)
-            ],
-        }
+# Masks the greedy may visit, over all degrees, before it refuses (~1 us a mask, CPython 3.11).
+MAX_SCANNED_MASKS = 1_000_000
 
 
 def greedy_generators(profile: DegreeProfile, m: int) -> tuple[Monomial, ...] | None:
     """One construction attempt at a fixed ambient size, or None when a degree starves.
 
     Masks ascend in revlex-descending order, so the first picks not divisible
-    by an earlier choice are exactly the revlex-largest available monomials."""
+    by an earlier choice are exactly the revlex-largest available monomials.
+    Refuses (``ConstructionTooLarge``) once the scan passes ``MAX_SCANNED_MASKS``."""
     chosen: list[int] = []
+    scanned = 0  # masks visited, over every degree
     for degree, count in profile:
-        available = (mask for mask, inside in scan_component(chosen, m, degree) if not inside)
-        picks = list(islice(available, count))  # the scan stops at the count-th pick
-        if len(picks) < count:
+        picks = []
+        for scanned, (mask, inside) in enumerate(scan_component(chosen, m, degree), scanned + 1):
+            if scanned > MAX_SCANNED_MASKS:
+                raise ConstructionTooLarge(f"construction scan passes {MAX_SCANNED_MASKS} masks")
+            if not inside:
+                picks.append(mask)
+                if len(picks) == count:  # the scan stops at the count-th pick
+                    break
+        else:
             return None
         chosen += picks
     return tuple(Monomial(mask) for mask in chosen)
 
 
-def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> ColexResult:
-    """The colexsegment ideal of I and the smallest workable ambient size.
+def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> MonomialIdeal:
+    """The colexsegment ideal J of I, over the smallest workable ambient m = J.n.
 
     The ambient starts at I's own and only ever adds variables, matching the
     two worked construction examples (m = 5 and m = 6). One greedy pass at the
@@ -85,8 +80,19 @@ def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> ColexResu
     gens = greedy_generators(degree_profile(I), cap)
     if gens is None:
         raise AmbientCapExceeded(cap)
-    m = max(I.n, *(u.max_index for u in gens))
-    return ColexResult(MonomialIdeal(m, gens), m)
+    return MonomialIdeal(max(I.n, *(u.max_index for u in gens)), gens)
+
+
+def construction_dict(J: MonomialIdeal) -> dict:
+    """The ``colex`` JSON of a construction: its ambient m, J, and J's generators by degree."""
+    return {
+        "m": J.n,
+        "J": J.as_dict(),
+        "steps": [
+            {"degree": degree, "chosen": [list(u.indices) for u in chosen]}
+            for degree, chosen in groupby(J.gens, key=lambda u: u.degree)
+        ],
+    }
 
 
 def is_revlex_segment(monos, n: int) -> bool:
@@ -181,15 +187,13 @@ def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:
     if len(profile) != 2:
         raise HypothesisViolated("need an ideal generated in exactly two degrees")
     (d1, p1), (d2, p2) = profile
-    result = colex_ideal(I)
-    n = result.m
+    J = colex_ideal(I)
+    n = J.n
     if not d2 < n - 2:
         raise HypothesisViolated(f"need d2 < n-2, got d2 = {d2}, n = {n}")
     dim_d1 = p1  # the initial-degree component is spanned by its generators
     dim_d2 = sum(inside for _, inside in scan_component([u.mask for u in I.gens], n, d2))
-    dim_construction_d2 = sum(
-        inside for _, inside in scan_component([u.mask for u in result.ideal.gens], n, d2)
-    )
+    dim_construction_d2 = len(graded_component(J, d2))  # J lives over n
     threshold_i = comb(n - 2, d1)
     holds_i = dim_d1 >= threshold_i
     a_size = sum(comb(r, d1) for r in range(d1, n - 1))
@@ -218,7 +222,7 @@ def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:
         a_size=a_size,
         c=c,
         holds_ii=holds_ii,
-        is_revlex=is_revlex_ideal(result.ideal),
+        is_revlex=is_revlex_ideal(J),
     )
 
 

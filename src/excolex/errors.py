@@ -51,6 +51,10 @@ class AmbientCapExceeded(RuntimeError):
         super().__init__(f"construction still incomplete at ambient size {cap} (cap {cap})")
 
 
+class ConstructionTooLarge(RuntimeError):
+    """The construction's greedy scan passed its mask budget."""
+
+
 class OracleTooLarge(RuntimeError):
     """The oracle's work, as the method that runs measures it, passes its cap."""
 

@@ -63,13 +63,11 @@ class Monomial(NamedTuple):
 
     @property
     def indices(self) -> tuple[int, ...]:
-        out = []
-        mask, i = self.mask, 1
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
+        out, mask = [], self.mask
+        while mask:  # one step per set bit
+            low = mask & -mask
+            out.append(low.bit_length())
+            mask ^= low
         return tuple(out)
 
     @property

@@ -32,6 +32,7 @@ from .cartan import cartan_betti, chain_space
 from .colex import (
     DEFAULT_AMBIENT_CAP,
     colex_ideal,
+    construction_dict,
     is_revlex_ideal,
     revlex_condition_single_degree,
     revlex_conditions_two_degrees,
@@ -144,8 +145,8 @@ def verify_green(n_max: int = 5) -> VerificationReport:
     """
 
     def construction_side(I: MonomialIdeal) -> tuple[int, dict]:
-        result = colex_ideal(I)
-        return result.m, low_index_counts(result.ideal, I.indeg, result.m)
+        J = colex_ideal(I)
+        return J.n, low_index_counts(J, I.indeg, J.n)
 
     construction = _per_profile(construction_side)
 
@@ -155,7 +156,7 @@ def verify_green(n_max: int = 5) -> VerificationReport:
             if lhs > (rhs := rhs_counts[t, p]):
                 yield {
                     "ideal": I.as_dict(),
-                    "construction": colex_ideal(I).ideal.as_dict(),
+                    "construction": colex_ideal(I).as_dict(),
                     "t": t,
                     "p": p,
                     "lhs": lhs,
@@ -174,7 +175,7 @@ def verify_colex_lower_bound(n_max: int = 6, i_max: int = 8) -> VerificationRepo
     """
 
     def construction_side(I: MonomialIdeal) -> tuple[MonomialIdeal, BettiTable]:
-        J = colex_ideal(I).ideal
+        J = colex_ideal(I)
         return J, stable_betti_table(J, i_max)
 
     construction = _per_profile(construction_side)
@@ -314,9 +315,9 @@ def verify_bound_tables(i_max: int = 10) -> VerificationReport:
         row, (direction, i_text, j_text) = item
         I = _ideal_from_texts(5, i_text)
         expected_J = _ideal_from_texts(5, j_text)
-        result = colex_ideal(I)
+        J = colex_ideal(I)
         problems = []
-        if result.m != 5 or result.ideal != expected_J:
+        if J != expected_J:  # equality compares the ambient too
             problems.append("construction mismatch")
         verdict = compare_betti(I, expected_J, i_max)
         if direction == "lower":
@@ -338,7 +339,7 @@ def verify_bound_tables(i_max: int = 10) -> VerificationReport:
                 "direction": direction,
                 "ideal": I.as_dict(),
                 "expected": expected_J.as_dict(),
-                "got": result.as_dict(),
+                "got": construction_dict(J),
                 "problems": problems,
             }
 
@@ -382,9 +383,9 @@ def verify_revlex_characterizations(
 
     def check_reference(item: tuple[str, int, str, str, bool]):
         case, n, texts, expected, revlex = item
-        got = colex_ideal(_ideal_from_texts(n, texts))
-        if got.ideal != _ideal_from_texts(n, expected) or is_revlex_ideal(got.ideal) != revlex:
-            yield {"case": case, "got": got.as_dict()}
+        J = colex_ideal(_ideal_from_texts(n, texts))
+        if J != _ideal_from_texts(n, expected) or is_revlex_ideal(J) != revlex:
+            yield {"case": case, "got": construction_dict(J)}
 
     def check_triple(item: tuple[int, int, int]):
         n, d, count = item
@@ -398,7 +399,7 @@ def verify_revlex_characterizations(
         n, d, count = item
         I = MonomialIdeal(n, revlex_segment(n, d, count))
         predicted = revlex_condition_single_degree(I)
-        actual = is_revlex_ideal(colex_ideal(I).ideal)
+        actual = is_revlex_ideal(colex_ideal(I))
         if predicted != actual:
             yield {"case": "single degree", "n": n, "d": d, "count": count,
                    "predicted": predicted, "actual": actual}
@@ -448,16 +449,16 @@ def _boundary_squared_failures(I: MonomialIdeal, i_max: int) -> Iterator[dict]:
     boundary, gen_masks = cartan._boundary_terms, [g.mask for g in I.gens]
     for i in range(2, i_max + 1):
         for j in range(I.n + i + 1):
-            for elem in chain_space(I, i, j):
+            for mask, powers in chain_space(I, i, j):
                 acc: dict = {}
-                for s1, m1, a1 in boundary(elem.mono.mask, elem.powers, gen_masks):
+                for s1, m1, a1 in boundary(mask, powers, gen_masks):
                     for s2, m2, a2 in boundary(m1, a1, gen_masks):
                         acc[m2, a2] = acc.get((m2, a2), 0) + s1 * s2
                 if any(acc.values()):
                     yield {
                         "case": "boundary squared",
                         "ideal": I.as_dict(),
-                        "element": [elem.mono.text(), list(elem.powers)],
+                        "element": [Monomial(mask).text(), list(powers)],
                     }
                     return
 

@@ -78,13 +78,13 @@ def test_low_index_counts_match_the_listed_components():
     sides = 0
     for n in range(1, 7):
         for I in enumerate_strongly_stable_ideals(n):
-            result = colex_ideal(I)
-            for X in (MonomialIdeal(result.m, I.gens), result.ideal):
-                counts = low_index_counts(X, I.indeg, result.m)
+            J = colex_ideal(I)
+            for X in (MonomialIdeal(J.n, I.gens), J):
+                counts = low_index_counts(X, I.indeg, J.n)
                 listed = {
                     (t, p): len(restrict_max_index(graded_component(X, t), p))
-                    for t in range(I.indeg, result.m + 1)
-                    for p in range(t, result.m + 1)
+                    for t in range(I.indeg, J.n + 1)
+                    for p in range(t, J.n + 1)
                 }
                 assert counts == listed, X
                 sides += 1

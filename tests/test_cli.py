@@ -427,3 +427,22 @@ def test_colex_stops_at_the_last_pick(capsys, tmp_path):
     assert code == 0
     result = json.loads(out)
     assert result["m"] == 32 and result["J"]["generators"] == [list(range(1, 17))]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_colex_scan_guard_refuses_long_scans(capsys, tmp_path):
+    # (e1, ..., ek, e(k+1)...en) and every quadratic over e1..ek plus e(k+1)...en:
+    # valid inputs whose last pick lies hundreds of millions of masks into its
+    # component; the scan budget refuses both in about a second
+    for n in (31, 32):
+        k = (n - 1) // 2
+        linear = [[i] for i in range(1, k + 1)] + [list(range(k + 1, n + 1))]
+        k = n // 2
+        quadratic = [[a, b] for b in range(2, k + 1) for a in range(1, b)]
+        quadratic.append(list(range(k + 1, n + 1)))
+        for name, gens in (("linear", linear), ("quadratic", quadratic)):
+            path = write_ideal(tmp_path, f"{name}{n}.json", {"n": n, "generators": gens})
+            with deadline(5.0):
+                code, out, err = run(capsys, "colex", "--input", path)
+            assert code == 3 and not out, (name, n)
+            assert "construction scan passes" in err

@@ -12,6 +12,7 @@ from excolex import colex
 from excolex.cli import main
 from excolex.colex import (
     colex_ideal,
+    construction_dict,
     greedy_generators,
     is_revlex_ideal,
     is_revlex_segment,
@@ -22,6 +23,7 @@ from excolex.colex import (
 from excolex.enumeration import enumerate_proper_ideals, enumerate_strongly_stable_ideals
 from excolex.errors import (
     AmbientCapExceeded,
+    ConstructionTooLarge,
     ContractViolation,
     DegreeTooHigh,
     HypothesisViolated,
@@ -48,22 +50,19 @@ def gens_text(I):
 
 
 def test_construction_two_and_three_degrees():
-    result = colex_ideal(ideal(5, "e1e2", "e1e3e4", "e1e3e5"))
-    assert result.m == 5
-    assert gens_text(result.ideal) == ["e1e2", "e1e3e4", "e2e3e4"]
+    J = colex_ideal(ideal(5, "e1e2", "e1e3e4", "e1e3e5"))
+    assert J.n == 5
+    assert gens_text(J) == ["e1e2", "e1e3e4", "e2e3e4"]
 
-    result = colex_ideal(
-        ideal(5, "e1e2", "e1e3", "e1e4", "e1e5", "e2e3e4", "e2e3e5", "e2e4e5")
-    )
-    assert result.m == 6
-    assert gens_text(result.ideal) == [
+    J = colex_ideal(ideal(5, "e1e2", "e1e3", "e1e4", "e1e5", "e2e3e4", "e2e3e5", "e2e4e5"))
+    assert J.n == 6
+    assert gens_text(J) == [
         "e1e2", "e1e3", "e2e3", "e1e4", "e2e4e5", "e3e4e5", "e2e4e6",
     ]
 
 
 def test_construction_steps_and_serialization():
-    result = colex_ideal(ideal(5, "e1e2", "e1e3e4", "e1e3e5"))
-    data = result.as_dict()
+    data = construction_dict(colex_ideal(ideal(5, "e1e2", "e1e3e4", "e1e3e5")))
     assert data["m"] == 5
     assert data["J"] == {"n": 5, "generators": [[1, 2], [1, 3, 4], [2, 3, 4]]}
     assert data["steps"] == [
@@ -78,7 +77,7 @@ def test_construction_json_is_pinned():
     count = 0
     for n in range(1, 7):
         for I in enumerate_strongly_stable_ideals(n):
-            digest.update(json.dumps(colex_ideal(I).as_dict(), sort_keys=True).encode())
+            digest.update(json.dumps(construction_dict(colex_ideal(I)), sort_keys=True).encode())
             count += 1
     assert count == 955
     assert digest.hexdigest() == (
@@ -88,9 +87,9 @@ def test_construction_json_is_pinned():
 
 def test_single_degree_never_extends_the_ambient():
     I = ideal(5, "e1e3", "e2e3", "e1e4")
-    result = colex_ideal(I)
-    assert result.m == 5
-    assert list(result.ideal.gens) == revlex_segment(5, 2, 3)
+    J = colex_ideal(I)
+    assert J.n == 5
+    assert list(J.gens) == revlex_segment(5, 2, 3)
 
 
 def test_profile_is_preserved():
@@ -99,7 +98,7 @@ def test_profile_is_preserved():
         ideal(5, "e1e2", "e1e3", "e1e4", "e1e5", "e2e3e4", "e2e3e5", "e2e4e5"),
         ideal(4, "e1e2e3"),
     ):
-        assert degree_profile(colex_ideal(I).ideal) == degree_profile(I)
+        assert degree_profile(colex_ideal(I)) == degree_profile(I)
 
 
 def test_construction_output_is_strongly_stable():
@@ -107,7 +106,7 @@ def test_construction_output_is_strongly_stable():
 
     for n in (3, 4, 5):
         for I in enumerate_strongly_stable_ideals(n):
-            assert is_strongly_stable_ideal(colex_ideal(I).ideal)
+            assert is_strongly_stable_ideal(colex_ideal(I))
 
 
 def test_cap_errors():
@@ -128,7 +127,7 @@ def test_one_greedy_pass(monkeypatch):
         return greedy_generators(profile, m)
 
     monkeypatch.setattr(colex, "greedy_generators", spy)
-    assert colex_ideal(needs_six).m == 6
+    assert colex_ideal(needs_six).n == 6
     assert len(calls) == 1
 
 
@@ -169,13 +168,13 @@ def test_construction_over_caps_is_pinned():
     for I in ideals:
         for cap in (I.n, I.n + 1, I.n + 2):
             try:
-                result = colex_ideal(I, m_cap=cap)
+                J = colex_ideal(I, m_cap=cap)
             except AmbientCapExceeded:
                 line = "AmbientCapExceeded"
                 refused += 1
             else:
-                line = json.dumps(result.as_dict(), sort_keys=True)
-                extended += result.m > I.n
+                line = json.dumps(construction_dict(J), sort_keys=True)
+                extended += J.n > I.n
             digest.update((line + "\n").encode())
             lines += 1
     assert (lines, extended, refused) == (3432, 321, 162)
@@ -184,12 +183,20 @@ def test_construction_over_caps_is_pinned():
     )
 
 
+def test_greedy_scan_budget(monkeypatch):
+    # the degree-2 masks ascend e1e2, e1e3, e2e3, e1e4, ...: k picks scan k masks
+    monkeypatch.setattr(colex, "MAX_SCANNED_MASKS", 3)
+    assert greedy_generators(((2, 3),), 4) == (M("e1e2"), M("e1e3"), M("e2e3"))
+    assert greedy_generators(((2, 4),), 3) is None  # starves within the budget
+    with pytest.raises(ConstructionTooLarge):
+        greedy_generators(((2, 4),), 4)  # the fourth pick is the fourth mask
+
+
 def test_greedy_rerun_is_ambient_stable():
     I = ideal(5, "e1e2", "e1e3e4", "e1e3e5")
-    result = colex_ideal(I)
-    base = result.ideal.gens
+    J = colex_ideal(I)
     for extra in (1, 2, 3):
-        assert greedy_generators(degree_profile(I), result.m + extra) == base
+        assert greedy_generators(degree_profile(I), J.n + extra) == J.gens
 
 
 # --- revlex predicates ---------------------------------------------------------
@@ -339,7 +346,7 @@ def test_single_degree_criterion_matches_direct_check():
             for count in range(1, comb(n, d) + 1):
                 I = MonomialIdeal(n, revlex_segment(n, d, count))
                 assert revlex_condition_single_degree(I) == is_revlex_ideal(
-                    colex_ideal(I).ideal
+                    colex_ideal(I)
                 )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from excolex import verify
 from excolex.betti import BettiTable, compare_betti, stable_betti_table
-from excolex.colex import colex_ideal
+from excolex.colex import colex_ideal, construction_dict
 from excolex.enumeration import enumerate_strongly_stable_ideals
 from excolex.errors import ContractViolation, HypothesisViolated
 from excolex.ideals import MonomialIdeal, degree_profile, graded_component
@@ -234,6 +234,33 @@ def test_section6_failure_stays_per_ideal(monkeypatch):
     assert report.instances == clean.instances
 
 
+def test_construction_payloads_carry_the_colex_json(monkeypatch):
+    # each curated ideal's expected generators, but over n = 6: every example51
+    # row and the n = 5 section6 reference fail on the ambient alone
+    expected = {
+        verify._ideal_from_texts(5, i_text): verify._ideal_from_texts(5, j_text)
+        for _, i_text, j_text in verify.BOUND_TABLE_ROWS
+    }
+    real = verify.colex_ideal
+
+    def over_six(I, *args, **kwargs):
+        J = expected.get(I)
+        return real(I, *args, **kwargs) if J is None else MonomialIdeal(6, J.gens)
+
+    monkeypatch.setattr(verify, "colex_ideal", over_six)
+    report = verify_bound_tables()
+    assert len(report.failures) == len(verify.BOUND_TABLE_ROWS)
+    for failure in report.failures:
+        J = MonomialIdeal(6, MonomialIdeal.from_dict(failure["expected"]).gens)
+        assert "construction mismatch" in failure["problems"]
+        assert failure["got"] == construction_dict(J) and failure["got"]["m"] == 6
+    # the revlex reference is the ninth curated ideal; the n = 6 one keeps its construction
+    report = verify_revlex_characterizations(segment_n_max=4, ideal_n_max=5)
+    J = MonomialIdeal(6, verify._ideal_from_texts(5, "e1e2,e1e3,e2e3,e1e4e5").gens)
+    reference = [f for f in report.failures if f["case"].startswith("reference")]
+    assert reference == [{"case": "reference revlex", "got": construction_dict(J)}]
+
+
 def test_colex_bound_failure_stays_per_ideal(monkeypatch):
     i_max = 6
     clean = verify_colex_lower_bound(5, i_max)
@@ -252,7 +279,7 @@ def test_colex_bound_failure_stays_per_ideal(monkeypatch):
     report = verify_colex_lower_bound(5, i_max)
     expected = []
     for I in hit:
-        J = colex_ideal(I).ideal
+        J = colex_ideal(I)
         verdict = compare_betti(I, J, i_max, table_j=inflated(J, i_max))
         expected.append({
             "ideal": I.as_dict(),
@@ -268,7 +295,7 @@ def test_colex_bound_failure_stays_per_ideal(monkeypatch):
 def test_green_failure_stays_per_ideal(monkeypatch):
     clean = verify_green(5)
     key, hit = _busiest_key(verify._stable_ideals(5))
-    J = colex_ideal(hit[0]).ideal  # the construction of every ideal with this key
+    J = colex_ideal(hit[0])  # the construction of every ideal with this key
 
     def listed(X, t, p):
         component = graded_component(MonomialIdeal(J.n, X.gens), t)
