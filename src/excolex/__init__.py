@@ -61,16 +61,13 @@ from .monomials import (
     common_degree,
     is_stable,
     is_strongly_stable,
-    monomials_of_degree,
     multiples_by,
     partial_shadow,
     restrict_max_index,
-    revlex_cmp,
     revlex_descending,
     revlex_min,
     revlex_segment,
     shadow,
-    sign_exponent,
 )
 from .verify import (
     CLAIMS,

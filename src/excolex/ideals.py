@@ -13,8 +13,10 @@ of a single degree is minimal as soon as it has no duplicates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import ContractViolation, clipped_repr
@@ -30,8 +32,27 @@ from .monomials import (
 DegreeProfile = tuple[tuple[int, int], ...]
 
 
+_mask = attrgetter("mask")
+
+
 def _canonical(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(gens, key=lambda u: (u.mask.bit_count(), u.mask)))
+
+
+def _refuse_masks(gens: tuple[Monomial, ...], masks: list[int], n: int) -> None:
+    """Raise for the first sorted generator that is not a monomial of e_1..e_n
+    other than the unit, or that repeats the one before it."""
+    previous = None
+    for u, mask in zip(gens, masks):
+        if mask < 0:  # its text never ends: print the mask
+            raise ContractViolation(f"negative generator mask {clipped_repr(mask)}")
+        if mask == 0:
+            raise ContractViolation("the unit monomial generates an improper ideal")
+        if mask.bit_length() > n:
+            raise ContractViolation(f"generator {u} does not live in e_1..e_{n}")
+        if mask == previous:  # sorted, so equal masks are adjacent
+            raise ContractViolation(f"duplicate generator {u}")
+        previous = mask
 
 
 @dataclass(frozen=True)
@@ -47,38 +68,36 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        gens = _canonical(self.gens)
+        gens = tuple(self.gens)
+        masks = list(map(_mask, gens))
+        degrees = list(map(int.bit_count, masks))
+        keys = list(zip(degrees, masks))
+        if keys != sorted(keys):
+            gens = _canonical(gens)
+            masks = list(map(_mask, gens))
+            degrees = list(map(int.bit_count, masks))
         object.__setattr__(self, "gens", gens)
         n = self.n
         if not 1 <= n <= MAX_VARIABLES:
             raise ContractViolation(f"ambient size out of range: {clipped_repr(n)}")
         if not gens:
             raise ContractViolation("an ideal needs at least one generator")
-        masks = [u.mask for u in gens]
-        previous = None
-        for u, mask in zip(gens, masks):
-            if mask == 0:
-                raise ContractViolation("the unit monomial generates an improper ideal")
-            if mask.bit_length() > n:
-                raise ContractViolation(f"generator {u} does not live in e_1..e_{n}")
-            if mask == previous:  # sorted, so equal masks are adjacent
-                raise ContractViolation(f"duplicate generator {u}")
-            previous = mask
-        # a proper divisor has strictly lower degree: test each generator
+        if min(masks) <= 0 or max(masks).bit_length() > n or len(set(masks)) < len(masks):
+            _refuse_masks(gens, masks, n)
+        # a proper divisor has strictly lower degree: test each degree block
         # against the generators of higher degree only, first pair first
         count = len(masks)
-        higher = 0  # index of the first generator of degree above masks[i]
-        for i, u in enumerate(masks):
-            if higher <= i:
-                degree = u.bit_count()
-                higher = i + 1
-                while higher < count and masks[higher].bit_count() == degree:
-                    higher += 1
-            for j in range(higher, count):
-                if u & masks[j] == u:
-                    raise ContractViolation(
-                        f"{gens[i]} divides {gens[j]}; generators are not minimal"
-                    )
+        start = 0
+        while (end := bisect_right(degrees, degrees[start])) < count:
+            above = masks[end:]
+            for u in masks[start:end]:
+                for v in above:
+                    if u & v == u:
+                        i, j = masks.index(u), masks.index(v)
+                        raise ContractViolation(
+                            f"{gens[i]} divides {gens[j]}; generators are not minimal"
+                        )
+            start = end
 
     @property
     def indeg(self) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from itertools import islice
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ContractViolation, InsufficientMonomials, clipped_repr
@@ -75,16 +76,6 @@ class Monomial(NamedTuple):
         """Largest variable index, 0 for the unit monomial."""
         return self.mask.bit_length()
 
-    @property
-    def min_index(self) -> int:
-        """Smallest variable index, 0 for the unit monomial."""
-        if not self.mask:
-            return 0
-        return (self.mask & -self.mask).bit_length()
-
-    def divides(self, other: "Monomial") -> bool:
-        return self.mask & other.mask == self.mask
-
     def contains(self, index: int) -> bool:
         return bool(self.mask >> (index - 1) & 1) if index >= 1 else False
 
@@ -104,36 +95,29 @@ class Monomial(NamedTuple):
         return self.text()
 
 
+_mask = attrgetter("mask")
+
+
 def common_degree(monos: Iterable[Monomial]) -> int | None:
     """Degree of a homogeneous collection; None when it is empty."""
-    deg = None
-    for u in monos:
-        if deg is None:
-            deg = u.degree
-        elif u.degree != deg:
-            raise ContractViolation(f"mixed degrees: {deg} and {u.degree}")
-    return deg
+    monos = list(monos)
+    degrees = set(map(int.bit_count, map(_mask, monos)))
+    if len(degrees) > 1:  # name the first member off the first one's degree
+        deg = monos[0].degree
+        for u in monos:
+            if u.degree != deg:
+                raise ContractViolation(f"mixed degrees: {deg} and {u.degree}")
+    return degrees.pop() if degrees else None
 
 
 def require_ambient(monos: Iterable[Monomial], n: int) -> None:
     if not 1 <= n <= MAX_VARIABLES:
         raise ContractViolation(f"ambient size out of range: {n}")
-    for u in monos:
-        if u.max_index > n:
-            raise ContractViolation(f"{u} does not live in e_1..e_{n}")
-
-
-def revlex_cmp(u: Monomial, v: Monomial) -> int:
-    """+1 when u > v in revlex, -1 when u < v, 0 when equal; degrees must match.
-
-    u > v exactly when the highest index where the two differ belongs to v,
-    i.e. when u has the smaller mask.
-    """
-    if u.degree != v.degree:
-        raise ContractViolation("revlex only compares monomials of equal degree")
-    if u.mask == v.mask:
-        return 0
-    return 1 if u.mask < v.mask else -1
+    monos = list(monos)
+    if monos and max(map(_mask, monos)).bit_length() > n:
+        for u in monos:  # name the first one outside
+            if u.max_index > n:
+                raise ContractViolation(f"{u} does not live in e_1..e_{n}")
 
 
 def revlex_descending(monos: Iterable[Monomial]) -> list[Monomial]:
@@ -165,11 +149,6 @@ def iter_degree_masks(n: int, d: int) -> Iterator[int]:
         low = mask & -mask
         ripple = mask + low
         mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
-
-
-def monomials_of_degree(n: int, d: int) -> list[Monomial]:
-    """Every degree-d monomial of the ambient, in decreasing revlex order."""
-    return [Monomial(m) for m in iter_degree_masks(n, d)]
 
 
 def revlex_segment(n: int, d: int, length: int) -> list[Monomial]:
@@ -268,10 +247,3 @@ def is_strongly_stable(monos: Iterable[Monomial]) -> bool:
 def is_stable(monos: Iterable[Monomial]) -> bool:
     """Closed under lowering the largest index only."""
     return _closed_under_moves(monos, largest_only=True)
-
-
-def sign_exponent(u: Monomial, j: int) -> int:
-    """Number of indices of u strictly below j (exponent of the insertion sign)."""
-    if j < 1:
-        raise ContractViolation(f"variable index out of range: {j}")
-    return (u.mask & ((1 << (j - 1)) - 1)).bit_count()

@@ -3,11 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from excolex.enumeration import enumerate_strongly_stable_ideals
-from excolex.errors import ContractViolation
+from excolex.errors import ContractViolation, clipped_repr
 from excolex.ideals import (
     MonomialIdeal,
     degree_profile,
@@ -18,7 +18,7 @@ from excolex.ideals import (
     parse_monomial,
     scan_component,
 )
-from excolex.monomials import Monomial, iter_degree_masks, shadow
+from excolex.monomials import MAX_VARIABLES, Monomial, iter_degree_masks, shadow
 
 M = Monomial.from_text
 
@@ -217,7 +217,7 @@ def first_divisibility_reference(gens):
     """The first (u, v) of the all-pairs scan over the sorted generators."""
     for u in gens:
         for v in gens:
-            if u.mask != v.mask and u.divides(v):
+            if u.mask != v.mask and u.mask & v.mask == u.mask:
                 return u, v
     return None
 
@@ -237,7 +237,7 @@ def test_contains_is_any_generator_dividing(case, probe):
     n, masks = case
     I = minimalize(n, [Monomial(m) for m in masks])
     mono = Monomial(probe & ((1 << n) - 1))
-    assert I.contains(mono) == any(g.divides(mono) for g in I.gens)
+    assert I.contains(mono) == any(g.mask & mono.mask == g.mask for g in I.gens)
 
 
 @given(mask_lists)
@@ -261,3 +261,104 @@ def test_minimalize_keeps_exactly_the_minimal_masks(case):
     n, masks = case
     expected = {m for m in masks if not any(o != m and o & m == o for o in masks)}
     assert {u.mask for u in minimalize(n, [Monomial(m) for m in masks]).gens} == expected
+
+
+# --- the constructor against a per-generator reference -----------------------
+
+def constructor_reference(n, raw):
+    """The constructor's checks written as one Python loop per generator;
+    returns the generators the ideal must store."""
+    gens = tuple(sorted(raw, key=lambda u: (u.mask.bit_count(), u.mask)))
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ContractViolation(f"ambient size out of range: {clipped_repr(n)}")
+    if not gens:
+        raise ContractViolation("an ideal needs at least one generator")
+    masks = [u.mask for u in gens]
+    previous = None
+    for u, mask in zip(gens, masks):
+        if mask == 0:
+            raise ContractViolation("the unit monomial generates an improper ideal")
+        if mask.bit_length() > n:
+            raise ContractViolation(f"generator {u} does not live in e_1..e_{n}")
+        if mask == previous:
+            raise ContractViolation(f"duplicate generator {u}")
+        previous = mask
+    count = len(masks)
+    higher = 0
+    for i, u in enumerate(masks):
+        if higher <= i:
+            degree = u.bit_count()
+            higher = i + 1
+            while higher < count and masks[higher].bit_count() == degree:
+                higher += 1
+        for j in range(higher, count):
+            if u & masks[j] == u:
+                raise ContractViolation(
+                    f"{gens[i]} divides {gens[j]}; generators are not minimal"
+                )
+    return gens
+
+
+def outcome(build, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """An ambient (sometimes outside 1..64) and generator masks in any order:
+    anything at all, distinct masks of the ambient, or an antichain of them."""
+    n = draw(st.one_of(st.integers(1, 10), st.sampled_from([-1, 0, 64, 65, 1000])))
+    kind = draw(st.sampled_from(["any", "distinct", "antichain"]))
+    if kind == "any":  # small masks collide and divide one another
+        small_or_wide = st.one_of(st.integers(0, 15), st.integers(0, 1023))
+        return n, draw(st.lists(small_or_wide, max_size=10))
+    top = (1 << min(max(n, 1), 7)) - 1
+    masks = draw(st.lists(st.integers(1, top), unique=True, max_size=12))
+    if kind == "antichain":
+        masks = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    return n, masks
+
+
+@given(constructor_inputs(), st.sampled_from([list, tuple, iter]))
+@example((4, [0b11, 0b111, 0b1]), list)  # three degrees, e1 divides both
+@example((5, [0b10100, 0b11, 0b101, 0b11100]), list)  # only e3e5 | e3e4e5
+@example((5, [0b11, 0b110, 0b1100, 0b11100]), list)  # e3e4 | e3e4e5
+@example((3, [0b11, 0b11]), tuple)
+@example((3, [0b11, 0b1000]), iter)
+@example((65, [1]), list)
+@example((3, []), list)
+@settings(max_examples=1000)
+def test_constructor_matches_its_reference(case, container):
+    n, masks = case
+    raw = [Monomial(m) for m in masks]
+    expected = outcome(constructor_reference, n, raw)
+    got = outcome(lambda: MonomialIdeal(n, container(raw)).gens)
+    degrees = len({m.bit_count() for m in masks})
+    if isinstance(expected[0], type):
+        reasons = ("not minimal", "not live", "duplicate", "unit", "range", "at least")
+        event("refused: " + next(r for r in reasons if r in expected[1]))
+    else:
+        event(f"accepted, {min(degrees, 3)}+ degrees")
+    assert got == expected
+
+
+def test_constructor_refuses_negative_masks():
+    # a negative mask has no text (its index walk never ends), so the message
+    # prints the mask itself, clipped
+    huge = -(1 << 400)
+    cases = [
+        ([Monomial(-2)], "negative generator mask -2"),
+        ([Monomial(-1)], "negative generator mask -1"),
+        ([Monomial(0b11), Monomial(-8)], "negative generator mask -8"),
+        ([Monomial(-1), Monomial(0)], "the unit monomial generates an improper ideal"),
+        ([Monomial(huge)], f"negative generator mask {clipped_repr(huge)}"),
+    ]
+    for raw, message in cases:
+        with pytest.raises(ContractViolation) as exc:
+            MonomialIdeal(3, raw)
+        assert str(exc.value) == message
+    assert len(clipped_repr(huge)) <= 100

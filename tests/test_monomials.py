@@ -5,30 +5,31 @@ file (a positional comparator read off the order's definition, brute-force
 set comprehensions for shadows) and frozen as literals where small.
 """
 
+import functools
 import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from excolex.errors import ContractViolation, InsufficientMonomials
 from excolex.monomials import (
+    MAX_VARIABLES,
     Monomial,
     borel_reductions,
     common_degree,
     is_stable,
     is_strongly_stable,
-    monomials_of_degree,
+    iter_degree_masks,
     multiples_by,
     partial_shadow,
+    require_ambient,
     restrict_max_index,
-    revlex_cmp,
     revlex_descending,
     revlex_min,
     revlex_segment,
     shadow,
-    sign_exponent,
 )
 
 M = Monomial.from_text
@@ -66,8 +67,6 @@ def segment_reference(n, d, length):
     everything.sort(key=lambda u: [-i for i in reversed(u.indices)])
     ordered = sorted(everything, key=lambda u: tuple(reversed(u.indices)))
     # positional rule: u before v when the last differing slot is smaller in u
-    import functools
-
     ordered = sorted(
         everything,
         key=functools.cmp_to_key(lambda a, b: -revlex_cmp_reference(a, b)),
@@ -98,38 +97,37 @@ def test_text_round_trip():
 
 def test_basic_statistics():
     u = M("e2e3e5")
-    assert (u.degree, u.max_index, u.min_index) == (3, 5, 2)
+    assert (u.degree, u.max_index) == (3, 5)
     unit = Monomial(0)
-    assert (unit.degree, unit.max_index, unit.min_index) == (0, 0, 0)
-
-
-def test_divides_is_support_containment():
-    assert M("e1e2").divides(M("e1e2e4"))
-    assert not M("e1e2").divides(M("e1e3e4"))
+    assert (unit.degree, unit.max_index) == (0, 0)
 
 
 # --- revlex ------------------------------------------------------------------
 
+def mask_cmp(u, v):
+    """+1 when u has the smaller mask: the module's rule for u > v in revlex."""
+    return (u.mask < v.mask) - (u.mask > v.mask)
+
+
 def test_revlex_trivial_examples():
-    assert revlex_cmp(M("e1e3"), M("e2e3")) == 1
-    u = M("e2e4")
-    assert revlex_cmp(u, u) == 0
+    assert revlex_descending([M("e2e3"), M("e1e3")]) == [M("e1e3"), M("e2e3")]
+    assert revlex_cmp_reference(M("e2e4"), M("e2e4")) == 0
     with pytest.raises(ContractViolation):
-        revlex_cmp(M("e1"), M("e1e2"))
+        revlex_descending([M("e1"), M("e1e2")])
 
 
 def test_revlex_derived_example():
     # frozen from the positional comparator: last slots 3 < 4 decide
     assert revlex_cmp_reference(M("e2e3"), M("e1e4")) == 1
-    assert revlex_cmp(M("e2e3"), M("e1e4")) == 1
+    assert revlex_descending([M("e1e4"), M("e2e3")]) == [M("e2e3"), M("e1e4")]
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (6, 3)])
 def test_revlex_matches_reference_everywhere(n, d):
-    universe = monomials_of_degree(n, d)
+    universe = list(map(Monomial, iter_degree_masks(n, d)))
     for u in universe:
         for v in universe:
-            assert revlex_cmp(u, v) == revlex_cmp_reference(u, v)
+            assert mask_cmp(u, v) == revlex_cmp_reference(u, v)
 
 
 @given(
@@ -140,12 +138,10 @@ def test_revlex_matches_reference_everywhere(n, d):
     )
 )
 def test_revlex_total_order_on_triples(triple):
-    u, v, w = triple
-    # exactly one of >, =, < holds
-    assert revlex_cmp(u, v) == -revlex_cmp(v, u)
-    # transitivity
-    if revlex_cmp(u, v) >= 0 and revlex_cmp(v, w) >= 0:
-        assert revlex_cmp(u, w) >= 0
+    by_definition = sorted(
+        triple, key=functools.cmp_to_key(lambda a, b: -revlex_cmp_reference(a, b))
+    )
+    assert revlex_descending(triple) == by_definition
 
 
 def test_revlex_descending_and_min():
@@ -161,7 +157,7 @@ def test_segment_of_degree_two_over_five_variables():
 
 
 def test_segment_full_and_empty():
-    assert set(revlex_segment(4, 2, 6)) == set(monomials_of_degree(4, 2))
+    assert set(revlex_segment(4, 2, 6)) == set(map(Monomial, iter_degree_masks(4, 2)))
     assert revlex_segment(5, 3, 0) == []
 
 
@@ -196,7 +192,7 @@ def test_shadow_derived_size_eight():
 
 
 def test_shadow_top_degree_is_empty():
-    assert shadow(monomials_of_degree(4, 4), 4) == set()
+    assert shadow([M("e1e2e3e4")], 4) == set()
     assert shadow([], 5) == set()
 
 
@@ -282,7 +278,7 @@ def stable_closure(monos):
 def test_is_stable_matches_definition(data):
     n = data.draw(st.integers(1, 6))
     d = data.draw(st.integers(0, n))
-    monos = data.draw(st.sets(st.sampled_from(monomials_of_degree(n, d))))
+    monos = data.draw(st.sets(st.sampled_from(list(map(Monomial, iter_degree_masks(n, d))))))
     assert is_stable(monos) == stable_by_definition(monos)
     closed = stable_closure(monos)
     assert stable_by_definition(closed)
@@ -339,13 +335,64 @@ def test_shadow_deduplicates_for_arbitrary_sets():
     assert len(shadow(monos, 4)) == 3  # e1e2e3 arises twice, kept once
 
 
-# --- signs -------------------------------------------------------------------
-
-def test_sign_exponent_counts_smaller_indices():
-    u = M("e2e4e5")
-    assert [sign_exponent(u, j) for j in (1, 2, 3, 4, 6)] == [0, 0, 1, 1, 3]
-
-
 def test_common_degree():
     assert common_degree([]) is None
     assert common_degree(mset("e1e2", "e2e3")) == 2
+
+
+# --- the contract helpers against per-monomial references --------------------
+
+def common_degree_reference(monos):
+    deg = None
+    for u in monos:
+        if deg is None:
+            deg = u.degree
+        elif u.degree != deg:
+            raise ContractViolation(f"mixed degrees: {deg} and {u.degree}")
+    return deg
+
+
+def require_ambient_reference(monos, n):
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ContractViolation(f"ambient size out of range: {n}")
+    for u in monos:
+        if u.max_index > n:
+            raise ContractViolation(f"{u} does not live in e_1..e_{n}")
+
+
+def outcome(check, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+
+
+helper_inputs = st.tuples(
+    st.one_of(st.integers(0, 9), st.sampled_from([64, 65])),
+    st.lists(st.one_of(st.integers(0, 15), st.integers(0, 1023)), max_size=8),
+    st.sampled_from([list, iter, lambda xs: (u for u in xs)]),
+)
+
+
+@given(helper_inputs)
+@settings(max_examples=500)
+def test_contract_helpers_match_their_references(case):
+    n, masks, container = case
+    monos = [Monomial(m) for m in masks]
+    expected = outcome(common_degree_reference, monos)
+    assert outcome(common_degree, container(monos)) == expected
+    event("mixed" if isinstance(expected, tuple) else "homogeneous")
+    expected = outcome(require_ambient_reference, monos, n)
+    assert outcome(require_ambient, container(monos), n) == expected
+    event("outside" if expected is not None else "inside")
+
+
+def test_contract_helpers_read_a_one_shot_iterator_once():
+    monos = [M("e1e2"), M("e2e3"), M("e1e4")]
+    assert common_degree(iter(monos)) == 2
+    assert require_ambient(iter(monos), 4) is None
+    with pytest.raises(ContractViolation, match="e1e4 does not live in e_1..e_3"):
+        require_ambient(iter(monos), 3)
+    with pytest.raises(ContractViolation, match="mixed degrees: 2 and 1"):
+        common_degree(u for u in [*monos, M("e3")])
