@@ -61,9 +61,7 @@ from .monomials import (
     common_degree,
     is_stable,
     is_strongly_stable,
-    multiples_by,
     partial_shadow,
-    restrict_max_index,
     revlex_descending,
     revlex_min,
     revlex_segment,

@@ -95,12 +95,15 @@ def tables_agree(left: BettiTable, right: BettiTable, i_bound: int) -> bool:
     return all(left.entry(i, j) == right.entry(i, j) for (i, j) in keys)
 
 
-def _generator_groups(I: MonomialIdeal) -> Counter:
-    """Generator counts by (degree, largest index) of a strongly stable ideal."""
+def _require_strongly_stable(I: MonomialIdeal) -> None:
     if not is_strongly_stable_ideal(I):
         raise FormulaInapplicable(
             "closed form needs a strongly stable ideal; use the homology oracle instead"
         )
+
+
+def _generator_groups(I: MonomialIdeal) -> Counter:
+    """Generator counts by (degree, largest index)."""
     return Counter((u.degree, u.max_index) for u in I.gens)
 
 
@@ -108,6 +111,12 @@ def stable_betti_table(I: MonomialIdeal, i_max: int) -> BettiTable:
     """The closed-form table of a strongly stable ideal (subject: the ideal)."""
     if i_max < 0:
         raise ContractViolation(f"negative homological cutoff: {clipped_repr(i_max)}")
+    _require_strongly_stable(I)
+    return _closed_form_table(I, i_max)
+
+
+def _closed_form_table(I: MonomialIdeal, i_max: int) -> BettiTable:
+    """``stable_betti_table`` unguarded, for an ideal the strongly stable walk yielded."""
     groups = _generator_groups(I)
     degrees = len({t for t, _ in groups})
     if (i_max + 1) * degrees > MAX_TABLE_CELLS:
@@ -125,6 +134,12 @@ def low_index_counts(I: MonomialIdeal, t_min: int, top: int) -> dict[tuple[int, 
     """(t, p) -> how many degree-t members of a strongly stable ideal have largest
     index <= p, for t_min <= t <= p <= top: each is uniquely u*v with u a generator
     and max(u) < min(v) (exterior Eliahou-Kervaire), so u adds C(p - m(u), t - deg u)."""
+    _require_strongly_stable(I)
+    return _low_index_counts(I, t_min, top)
+
+
+def _low_index_counts(I: MonomialIdeal, t_min: int, top: int) -> dict[tuple[int, int], int]:
+    """``low_index_counts`` unguarded, for an ideal the strongly stable walk yielded."""
     groups = _generator_groups(I).items()
     return {
         (t, p): sum(c * comb(p - m, t - d) for (d, m), c in groups if d <= t and m <= p)

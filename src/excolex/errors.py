@@ -2,10 +2,19 @@
 
 import reprlib
 
+
+def _clip_int(value: int, level: int) -> str:
+    try:
+        return reprlib.Repr.repr_int(_CLIP, value, level)
+    except ValueError:  # past the interpreter's int-to-text digit limit: show the size
+        return f"<int of {value.bit_length()} bits>"
+
+
 # Fixed limits: a deeply nested or huge entry costs little to show, while a
 # short entry reads as repr() shows it.
 _CLIP = reprlib.Repr()
 _CLIP.maxlevel, _CLIP.maxstring, _CLIP.maxother = 3, 60, 60
+_CLIP.repr_int = _clip_int
 _CLIP_CHARS = 100
 
 

@@ -184,27 +184,22 @@ def partial_shadow(monos: Iterable[Monomial], top: int, n: int) -> set[Monomial]
     if not 1 <= top <= n:
         raise ContractViolation(f"multiplier bound {top} outside 1..{n}")
     common_degree(monos)
-    window = (1 << top) - 1
+    return set(map(Monomial, shadow_masks(map(_mask, monos), (1 << top) - 1)))
+
+
+def shadow_masks(masks: Iterable[int], window: int) -> set[int]:
+    """``m | bit`` for every mask m and every bit of ``window`` outside m.
+
+    The mask form of ``partial_shadow``, with no contract checks.
+    """
     out = set()
-    for u in monos:
-        free = window & ~u.mask
+    for m in masks:
+        free = window & ~m
         while free:
             bit = free & -free
-            out.add(Monomial(u.mask | bit))
+            out.add(m | bit)
             free ^= bit
     return out
-
-
-def multiples_by(monos: Iterable[Monomial], index: int) -> set[Monomial]:
-    """e_index times the set, at support level; members already divisible drop out."""
-    return {u.with_index(index) for u in monos if not u.contains(index)}
-
-
-def restrict_max_index(monos: Iterable[Monomial], p: int) -> set[Monomial]:
-    """Members whose largest index is at most p."""
-    if p < 0:
-        raise ContractViolation(f"negative index bound: {p}")
-    return {u for u in monos if u.max_index <= p}
 
 
 def borel_move_masks(mask: int) -> Iterator[int]:

@@ -13,6 +13,7 @@ bounds n_max and i_max onto the campaign's keywords.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -22,6 +23,8 @@ from .betti import (
     MODE_LOWER,
     MODE_UPPER,
     BettiTable,
+    _closed_form_table,
+    _low_index_counts,
     compare_betti,
     low_index_counts,
     stable_betti_table,
@@ -45,16 +48,8 @@ from .enumeration import (
     seeded_proper_ideals,
 )
 from .errors import ContractViolation, HypothesisViolated, clipped_repr
-from .ideals import MonomialIdeal, degree_profile, graded_component, minimalize
-from .monomials import (
-    Monomial,
-    multiples_by,
-    partial_shadow,
-    restrict_max_index,
-    revlex_min,
-    revlex_segment,
-    shadow,
-)
+from .ideals import MonomialIdeal, degree_profile, minimalize, scan_component
+from .monomials import Monomial, revlex_segment, shadow_masks
 
 
 # One-value settings, still written into the report universes: section6's cap on
@@ -152,7 +147,7 @@ def verify_green(n_max: int = 5) -> VerificationReport:
 
     def check(I: MonomialIdeal):
         big, rhs_counts = construction(I)
-        for (t, p), lhs in low_index_counts(I, I.indeg, big).items():
+        for (t, p), lhs in _low_index_counts(I, I.indeg, big).items():  # I walked: stable
             if lhs > (rhs := rhs_counts[t, p]):
                 yield {
                     "ideal": I.as_dict(),
@@ -182,7 +177,8 @@ def verify_colex_lower_bound(n_max: int = 6, i_max: int = 8) -> VerificationRepo
 
     def check(I: MonomialIdeal):
         J, table = construction(I)
-        verdict = compare_betti(I, J, i_max, table_j=table)
+        own = _closed_form_table(I, i_max)  # I walked: stable
+        verdict = compare_betti(I, J, i_max, table_i=own, table_j=table)
         if verdict.mode not in (MODE_LOWER, MODE_EQUAL) or not verdict.domination:
             yield {
                 "ideal": I.as_dict(),
@@ -207,8 +203,8 @@ def verify_shadow_counting(n_max: int = 6, ideal_n_max: int = 5) -> Verification
 
     def check_set(item: tuple[int, tuple[Monomial, ...]]):
         n, mset = item
-        expect = sum(n - u.max_index for u in mset)
-        got = len(shadow(mset, n))
+        expect = sum(n - u.mask.bit_length() for u in mset)
+        got = len(shadow_masks([u.mask for u in mset], (1 << n) - 1))
         if got != expect:
             yield {
                 "n": n,
@@ -218,21 +214,23 @@ def verify_shadow_counting(n_max: int = 6, ideal_n_max: int = 5) -> Verification
             }
 
     def check_ideal(I: MonomialIdeal):
-        n = I.n
+        n, gen_masks = I.n, [g.mask for g in I.gens]
         for t in range(I.indeg, n):
-            comp = graded_component(I, t)
+            # ascending, so "largest index <= p" (m < 2^p) is a prefix
+            comp = [m for m, inside in scan_component(gen_masks, n, t) if inside]
+            pieces = set()  # the union over i in (t, p], grown one i at a time
             for p in range(t + 1, n + 1):
-                combined = partial_shadow(restrict_max_index(comp, p), p, n)
-                pieces = set()
-                for i in range(t + 1, p + 1):
-                    pieces |= multiples_by(restrict_max_index(comp, i), i)
+                prefix = comp[: bisect_left(comp, 1 << p)]
+                combined = shadow_masks(prefix, (1 << p) - 1)
+                bit = 1 << (p - 1)
+                pieces.update(m | bit for m in prefix if not m & bit)
                 if combined != pieces:
                     yield {
                         "ideal": I.as_dict(),
                         "t": t,
                         "p": p,
-                        "combined": sorted(u.text() for u in combined),
-                        "union": sorted(u.text() for u in pieces),
+                        "combined": sorted(Monomial(m).text() for m in combined),
+                        "union": sorted(Monomial(m).text() for m in pieces),
                     }
 
     universe = {"set_n_max": n_max, "ideal_n_max": ideal_n_max, "max_degrees": 2}
@@ -253,19 +251,19 @@ def verify_minimal_shadow_membership(n_max: int = 6) -> VerificationReport:
 
     def check(item: tuple[int, tuple[Monomial, ...]]):
         n, mset = item
-        tau = revlex_min(mset)
-        rest = [u for u in mset if u != tau]
-        shad = shadow(rest, n) if rest else set()
+        masks = [u.mask for u in mset]
+        tau = max(masks)  # the revlex-least member
+        shad = shadow_masks([m for m in masks if m != tau], (1 << n) - 1)
         for i in range(1, n + 1):
-            if tau.contains(i):
+            if tau >> (i - 1) & 1:
                 continue
-            inside = tau.with_index(i) in shad
-            expected = i < tau.max_index
+            inside = tau | 1 << (i - 1) in shad
+            expected = i < tau.bit_length()
             if inside != expected:
                 yield {
                     "n": n,
                     "set": [u.text() for u in mset],
-                    "tau": tau.text(),
+                    "tau": Monomial(tau).text(),
                     "i": i,
                     "in_shadow": inside,
                     "expected": expected,

@@ -122,8 +122,11 @@ def test_ideal_counts_frozen():
 
 
 def test_every_yielded_ideal_is_strongly_stable():
-    for I in enumerate_strongly_stable_ideals(4):
-        assert is_strongly_stable_ideal(I)
+    # green and colex-bound skip the closed form's guard on these ideals; check
+    # their one-size-up universes: two degrees to n = 6, one degree to n = 7
+    for n in range(1, 8):
+        for I in enumerate_strongly_stable_ideals(n, max_degrees=2 if n <= 6 else 1):
+            assert is_strongly_stable_ideal(I), I
 
 
 def test_two_degree_ideals_have_two_degrees():

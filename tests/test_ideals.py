@@ -362,3 +362,19 @@ def test_constructor_refuses_negative_masks():
             MonomialIdeal(3, raw)
         assert str(exc.value) == message
     assert len(clipped_repr(huge)) <= 100
+
+
+def test_an_int_past_the_digit_limit_shows_its_size():
+    # 10**5000 has more decimal digits than int-to-text conversion allows
+    # (4300 by default), so a message names its size instead of its digits
+    huge = 10**5000
+    assert clipped_repr(huge) == clipped_repr(-huge) == "<int of 16610 bits>"
+    assert clipped_repr([huge]) == "[<int of 16610 bits>]"
+    cases = [
+        (huge, [Monomial(1)], "ambient size out of range: <int of 16610 bits>"),
+        (3, [Monomial(-huge)], "negative generator mask <int of 16610 bits>"),
+    ]
+    for n, raw, message in cases:
+        with pytest.raises(ContractViolation) as exc:
+            MonomialIdeal(n, raw)
+        assert str(exc.value) == message

@@ -22,14 +22,13 @@ from excolex.monomials import (
     is_stable,
     is_strongly_stable,
     iter_degree_masks,
-    multiples_by,
     partial_shadow,
     require_ambient,
-    restrict_max_index,
     revlex_descending,
     revlex_min,
     revlex_segment,
     shadow,
+    shadow_masks,
 )
 
 M = Monomial.from_text
@@ -208,27 +207,36 @@ def test_partial_shadow_examples():
     assert partial_shadow(monos, 5, 5) == shadow(monos, 5)
 
 
-def test_multiples_by():
-    assert multiples_by(mset("e1e2", "e1e3"), 3) == mset("e1e2e3")
+@given(st.data())
+@settings(max_examples=200)
+def test_shadow_masks_matches_partial_shadow(data):
+    n = data.draw(st.integers(1, 7))
+    d = data.draw(st.integers(0, n))
+    masks = data.draw(st.sets(st.sampled_from(list(iter_degree_masks(n, d)))))
+    top = data.draw(st.integers(1, n))
+    got = shadow_masks(masks, (1 << top) - 1)
+    monos = set(map(Monomial, masks))
+    assert set(map(Monomial, got)) == partial_shadow(monos, top, n)
+    # any window, not only a prefix one, against the definition
+    window = data.draw(st.integers(0, (1 << n) - 1))
+    assert shadow_masks(masks, window) == {
+        m | 1 << (j - 1)
+        for m in masks
+        for j in range(1, n + 1)
+        if window >> (j - 1) & 1 and not m >> (j - 1) & 1
+    }
 
 
-# --- restriction and counts --------------------------------------------------
-
-def test_restrict_max_index():
-    monos = mset("e1e2", "e1e3", "e2e3", "e1e4")
-    assert restrict_max_index(monos, 3) == mset("e1e2", "e1e3", "e2e3")
-    assert restrict_max_index(monos, 9) == monos
-    assert restrict_max_index(monos, 0) == set()
-
+# --- counts ------------------------------------------------------------------
 
 def test_max_index_counts():
     monos = mset("e1e2", "e1e3", "e2e3", "e1e4")
-    assert len(restrict_max_index(monos, 3)) == 3
+    assert sum(u.max_index <= 3 for u in monos) == 3
 
 
 def test_count_consistency():
     monos = set(revlex_segment(6, 3, 11))
-    assert len(restrict_max_index(monos, 6)) == len(monos)
+    assert all(u.max_index <= 6 for u in monos)
 
 
 # --- stability ---------------------------------------------------------------

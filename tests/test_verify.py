@@ -11,7 +11,7 @@ from excolex.colex import colex_ideal, construction_dict
 from excolex.enumeration import enumerate_strongly_stable_ideals
 from excolex.errors import ContractViolation, HypothesisViolated
 from excolex.ideals import MonomialIdeal, degree_profile, graded_component
-from excolex.monomials import restrict_max_index
+from excolex.monomials import Monomial
 from excolex.verify import (
     CLAIMS,
     VerificationReport,
@@ -299,7 +299,7 @@ def test_green_failure_stays_per_ideal(monkeypatch):
 
     def listed(X, t, p):
         component = graded_component(MonomialIdeal(J.n, X.gens), t)
-        return len(restrict_max_index(component, p))
+        return sum(u.mask < 1 << p for u in component)
 
     # the first cell where the ideals' own counts differ; the construction's
     # count there drops just below the least of them, so each ideal fails once
@@ -334,3 +334,48 @@ def test_green_failure_stays_per_ideal(monkeypatch):
     assert report.failures == expected
     assert len({f["lhs"] for f in expected}) > 1  # each ideal's own count
     assert report.instances == clean.instances
+
+
+def _fed(monkeypatch, sets=(), ideals=()):
+    """Feed the shadow campaigns fixed, deliberately non-stable inputs."""
+    M = Monomial.from_text
+    sets = [(n, tuple(map(M, texts))) for n, texts in sets]
+    ideals = [MonomialIdeal(n, list(map(M, texts))) for n, texts in ideals]
+    monkeypatch.setattr(verify, "_stable_sets", lambda n_max: iter(sets))
+    monkeypatch.setattr(verify, "_stable_ideals", lambda n_max, **options: iter(ideals))
+
+
+def test_shadow_counting_failure_payloads(monkeypatch):
+    _fed(
+        monkeypatch,
+        sets=[(3, ["e1e3", "e2e3"]), (4, ["e1e2", "e3e4"])],
+        ideals=[(2, ["e2"]), (4, ["e1", "e3"])],
+    )
+    report = verify_shadow_counting()
+    one_three = {"n": 4, "generators": [[1], [3]]}
+    assert report.instances == 4
+    assert report.failures == [
+        {"n": 3, "set": ["e1e3", "e2e3"], "shadow_size": 1, "expected": 0},
+        {"n": 4, "set": ["e1e2", "e3e4"], "shadow_size": 4, "expected": 2},
+        {"ideal": {"n": 2, "generators": [[2]]}, "t": 1, "p": 2,
+         "combined": ["e1e2"], "union": []},
+        {"ideal": one_three, "t": 1, "p": 3,
+         "combined": ["e1e2", "e1e3", "e2e3"], "union": ["e1e2", "e1e3"]},
+        # sorted as text: e1e4 before e2e3, though its mask is larger
+        {"ideal": one_three, "t": 1, "p": 4,
+         "combined": ["e1e2", "e1e3", "e1e4", "e2e3", "e3e4"],
+         "union": ["e1e2", "e1e3", "e1e4", "e3e4"]},
+    ]
+
+
+def test_minimal_shadow_membership_failure_payloads(monkeypatch):
+    # e2e3 is least in the first set and its one product stays; e3e4 is least
+    # in the second, and neither e1e3e4 nor e2e3e4 is in the shadow of e1e2
+    _fed(monkeypatch, sets=[(3, ["e1e3", "e2e3"]), (4, ["e1e2", "e3e4"])])
+    report = verify_minimal_shadow_membership()
+    assert report.instances == 2
+    assert report.failures == [
+        {"n": 4, "set": ["e1e2", "e3e4"], "tau": "e3e4", "i": i,
+         "in_shadow": False, "expected": True}
+        for i in (1, 2)
+    ]
