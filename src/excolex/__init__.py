@@ -62,8 +62,6 @@ from .monomials import (
     is_stable,
     is_strongly_stable,
     partial_shadow,
-    revlex_descending,
-    revlex_min,
     revlex_segment,
     shadow,
 )

@@ -87,7 +87,9 @@ class BettiTable:
 
 
 def tables_agree(left: BettiTable, right: BettiTable, i_bound: int) -> bool:
-    """Exact graded agreement for all i <= i_bound (missing entries are zero)."""
+    """Exact graded agreement of same-subject tables for i <= i_bound (absent entries are 0)."""
+    if left.subject != right.subject:
+        raise ContractViolation(f"the {left.subject}'s table against the {right.subject}'s")
     if i_bound > min(left.i_max, right.i_max):
         raise ContractViolation("comparison bound exceeds a table cutoff")
     keys = {k for k in left.entries if k[0] <= i_bound}
@@ -104,7 +106,7 @@ def _require_strongly_stable(I: MonomialIdeal) -> None:
 
 def _generator_groups(I: MonomialIdeal) -> Counter:
     """Generator counts by (degree, largest index)."""
-    return Counter((u.degree, u.max_index) for u in I.gens)
+    return Counter((m.bit_count(), m.bit_length()) for m in I.masks)
 
 
 def stable_betti_table(I: MonomialIdeal, i_max: int) -> BettiTable:
@@ -158,8 +160,8 @@ def max_index_domination(I: MonomialIdeal, J: MonomialIdeal) -> bool:
         raise ProfileMismatch(
             f"generator counts differ: {len(I.gens)} vs {len(J.gens)}"
         )
-    ours = sorted(u.max_index for u in J.gens)
-    theirs = sorted(u.max_index for u in I.gens)
+    ours = sorted(m.bit_length() for m in J.masks)
+    theirs = sorted(m.bit_length() for m in I.masks)
     return all(a <= b for a, b in zip(ours, theirs))
 
 
@@ -198,10 +200,13 @@ def compare_betti(
     """Compare totals of J against I for 0 <= i <= i_max.
 
     Tables default to the closed form, so both ideals must be strongly stable
-    unless precomputed tables (e.g. from the homology oracle) are supplied.
+    unless precomputed tables of the ideals (e.g. from the oracle) are supplied.
     """
     if i_max < 0:
         raise ContractViolation(f"negative homological cutoff: {clipped_repr(i_max)}")
+    for table in (table_i, table_j):
+        if table is not None and table.subject != SUBJECT_IDEAL:
+            raise ContractViolation(f"supplied the {table.subject}'s table, not the ideal's")
     ti = table_i if table_i is not None else stable_betti_table(I, i_max)
     tj = table_j if table_j is not None else stable_betti_table(J, i_max)
     if ti.i_max < i_max or tj.i_max < i_max:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd, isqrt
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .betti import MAX_TABLE_CELLS, SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from .errors import ContractViolation, OracleTooLarge, TableTooLarge, clipped_repr
@@ -59,13 +59,12 @@ def chain_space(I: MonomialIdeal, i: int, j: int) -> list[tuple[int, tuple[int, 
     d = j - i
     if d < 0 or d > I.n:
         return []
-    gen_masks = [g.mask for g in I.gens]
-    survivors = [m for m, inside in scan_component(gen_masks, I.n, d) if not inside]
+    survivors = [m for m, inside in scan_component(I.masks, I.n, d) if not inside]
     powers = list(_compositions(i, I.n)) if survivors else []
     return [(s, a) for s in survivors for a in powers]
 
 
-def _boundary_terms(mask: int, powers: tuple, gen_masks: list[int]) -> list[tuple]:
+def _boundary_terms(mask: int, powers: tuple, gen_masks: Sequence[int]) -> list[tuple]:
     """The boundary of one basis element (mask, powers), as (sign, mask, powers) terms.
 
     Preserves internal degree and drops homological degree by one. Terms where
@@ -153,13 +152,12 @@ class CartanTables(NamedTuple):
 
 
 def _guard_dimensions(I: MonomialIdeal, i_max: int, cap: int) -> None:
-    gen_masks = [g.mask for g in I.gens]
     survivors: list[int] = []  # by degree, counted on first need: a refusal stops early
     for i in range(i_max + 2):
         blocks = comb(I.n + i - 1, i)
         for d in range(min(I.n, I.n + i_max - i) + 1):  # j = i + d up to n + i_max
             if d == len(survivors):  # row i = 0 reaches every degree, in order
-                survivors.append(sum(not inside for _, inside in scan_component(gen_masks, I.n, d)))
+                survivors.append(sum(not inside for _, inside in scan_component(I.masks, I.n, d)))
             dim = survivors[d] * blocks
             if dim > cap:
                 raise OracleTooLarge(f"chain space dimension at (i={i}, j={i + d})", dim, cap)
@@ -173,7 +171,7 @@ def _homology(dims: list[int], ranks: list[int]) -> dict[int, int]:
 
 
 def _strand_homology(
-    gen_masks: list[int], support: int, rank_fn: Callable[[list[dict]], int]
+    gen_masks: Sequence[int], support: int, rank_fn: Callable[[list[dict]], int]
 ) -> dict[int, int]:
     """Homology dimensions, by subset size, of the non-ideal subsets of one support.
 
@@ -213,17 +211,16 @@ def _betti_by_strands(
     I: MonomialIdeal, i_max: int, rank_fn, cap: int
 ) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
-    gen_masks = [g.mask for g in I.gens]
     lattice = {0}  # the unions of generators: every other strand is a cone
     work = 0  # the strands' boundary entries, |S| 2^(|S|-1) summed over the lattice
-    for g in gen_masks:
+    for g in I.masks:
         grown = {s | g for s in lattice} - lattice
         work += sum(s.bit_count() << (s.bit_count() - 1) for s in grown)
         if work > cap:  # refused before the lattice passes the cap
             raise OracleTooLarge("strand boundary entries over the LCM lattice", work, cap)
         lattice |= grown
     for support in sorted(lattice):
-        homology = _strand_homology(gen_masks, support, rank_fn)
+        homology = _strand_homology(I.masks, support, rank_fn)
         if not homology:
             continue
         s = support.bit_count()
@@ -243,7 +240,6 @@ def _betti_by_strands(
 
 def _betti_direct(I: MonomialIdeal, i_max: int, rank_fn) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
-    gen_masks = [g.mask for g in I.gens]
     for j in range(I.n + i_max + 1):  # the differential keeps the internal degree
         spaces = [chain_space(I, i, j) for i in range(i_max + 2)]
         ranks = []  # ranks[i]: the boundary from level i + 1 down to level i
@@ -252,7 +248,7 @@ def _betti_direct(I: MonomialIdeal, i_max: int, rank_fn) -> dict[tuple[int, int]
                 ranks.append(0)
                 continue
             position = {elem: c for c, elem in enumerate(dst)}
-            boundaries = (_boundary_terms(mask, powers, gen_masks) for mask, powers in src)
+            boundaries = (_boundary_terms(mask, powers, I.masks) for mask, powers in src)
             rows = [{position[m, a]: sign for sign, m, a in terms} for terms in boundaries]
             ranks.append(rank_fn(rows))
         # level i_max + 1 misses its outgoing rank; only lower levels are kept

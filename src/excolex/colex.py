@@ -13,8 +13,9 @@ argument so that this can be checked by rerunning it at larger m.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import dropwhile, groupby
+from itertools import groupby, islice, takewhile
 from math import comb
+from typing import Iterable
 
 from .errors import (
     AmbientCapExceeded,
@@ -25,16 +26,14 @@ from .errors import (
     NotARevlexSegment,
     clipped_repr,
 )
-from .ideals import DegreeProfile, MonomialIdeal, degree_profile, graded_component, scan_component
+from .ideals import DegreeProfile, MonomialIdeal, degree_profile, scan_component
 from .monomials import (
     MAX_VARIABLES,
     Monomial,
     common_degree,
     iter_degree_masks,
     require_ambient,
-    revlex_min,
-    revlex_segment,
-    shadow,
+    shadow_masks,
 )
 
 # Largest ambient size the construction scan tries unless told otherwise.
@@ -106,16 +105,22 @@ def is_revlex_segment(monos, n: int) -> bool:
     return all(expected == got for expected, got in zip(iter_degree_masks(n, d), masks))
 
 
+def _segment_length(flags: Iterable[bool]) -> int | None:
+    """How many members lead a scan of one degree's ascending masks, or None
+    when a member follows a non-member (the members are then no revlex segment)."""
+    flags = iter(flags)
+    length = sum(1 for _ in takewhile(bool, flags))
+    return None if any(flags) else length
+
+
 def is_revlex_ideal(I: MonomialIdeal) -> bool:
-    """Every graded component from the initial degree up is a revlex segment:
-    along the ascending masks of each degree, no member follows a non-member."""
-    masks = [u.mask for u in I.gens]
+    """Every graded component from the initial degree up is a revlex segment."""
     for t in range(I.indeg, I.n + 1):
-        rest = dropwhile(bool, (inside for _, inside in scan_component(masks, I.n, t)))
-        if next(rest, None) is None:  # every degree-t monomial is in, so every higher one is
-            return True
-        if any(rest):  # a member after the first non-member
+        length = _segment_length(inside for _, inside in scan_component(I.masks, I.n, t))
+        if length is None:
             return False
+        if length == comb(I.n, t):  # every degree-t monomial is in, so every higher one is
+            return True
     return True
 
 
@@ -134,10 +139,12 @@ def segment_shadow_conditions(monos, n: int) -> tuple[bool, bool, bool]:
         raise NotARevlexSegment(f"input is not a revlex segment in e_1..e_{n}")
     if d >= n - 2:
         raise DegreeTooHigh(f"degree {d} not below n-2 = {n - 2}")
-    shadow_is_segment = is_revlex_segment(shadow(monos, n), n)
+    masks = {u.mask for u in monos}
+    shad = shadow_masks(masks, (1 << n) - 1)  # the degree-(d+1) component of (M)
+    shadow_length = _segment_length(m in shad for m in iter_degree_masks(n, d + 1))
     big_enough = len(monos) >= comb(n - 2, d)
-    corner = Monomial.from_indices(range(n - d - 1, n - 1))
-    return (shadow_is_segment, big_enough, corner in monos)
+    corner = ((1 << d) - 1) << (n - d - 2)  # e_{n-d-1}...e_{n-2}
+    return (shadow_length is not None, big_enough, corner in masks)
 
 
 @dataclass(frozen=True)
@@ -192,23 +199,19 @@ def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:
     if not d2 < n - 2:
         raise HypothesisViolated(f"need d2 < n-2, got d2 = {d2}, n = {n}")
     dim_d1 = p1  # the initial-degree component is spanned by its generators
-    dim_d2 = sum(inside for _, inside in scan_component([u.mask for u in I.gens], n, d2))
-    dim_construction_d2 = len(graded_component(J, d2))  # J lives over n
+    dim_d2 = sum(inside for _, inside in scan_component(I.masks, n, d2))
+    dim_construction_d2 = sum(inside for _, inside in scan_component(J.masks, n, d2))
     threshold_i = comb(n - 2, d1)
     holds_i = dim_d1 >= threshold_i
     a_size = sum(comb(r, d1) for r in range(d1, n - 1))
-    c = 0
-    holds_ii = False
+    c, holds_ii = 0, False
     if d2 == d1 + 1:
-        w = revlex_min(shadow(revlex_segment(n, d1, dim_d1), n))
-        z = Monomial.from_indices(range(n - d1 - 1, n))
+        # w: the revlex-least member (largest mask) of the degree-d1 segment's shadow
+        w = max(shadow_masks(islice(iter_degree_masks(n, d1), dim_d1), (1 << n) - 1))
+        z = ((1 << (d1 + 1)) - 1) << (n - d1 - 2)  # e_{n-d1-1}...e_{n-1}
         # count degree-d2 monomials v with z > v >= w; masks ascend in revlex
-        # descending order, so the window is mask(z) < mask(v) <= mask(w)
-        for mask in iter_degree_masks(n, d2):
-            if mask > w.mask:
-                break
-            if mask > z.mask:
-                c += 1
+        # descending order, so the window is z < mask(v) <= w
+        c = sum(m > z for m in takewhile(lambda m: m <= w, iter_degree_masks(n, d2)))
         holds_ii = dim_construction_d2 >= a_size + c
     return RevlexConditionReport(
         n=n,

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractViolation, clipped_repr
 from .monomials import (
@@ -32,14 +31,11 @@ from .monomials import (
 DegreeProfile = tuple[tuple[int, int], ...]
 
 
-_mask = attrgetter("mask")
-
-
 def _canonical(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(gens, key=lambda u: (u.mask.bit_count(), u.mask)))
 
 
-def _refuse_masks(gens: tuple[Monomial, ...], masks: list[int], n: int) -> None:
+def _refuse_masks(gens: tuple[Monomial, ...], masks: tuple[int, ...], n: int) -> None:
     """Raise for the first sorted generator that is not a monomial of e_1..e_n
     other than the unit, or that repeats the one before it."""
     previous = None
@@ -60,23 +56,29 @@ class MonomialIdeal:
     """A proper nonzero monomial ideal, keyed by ambient size and sorted generators.
 
     Generators are stored by (degree, revlex-descending) order; equality is
-    structural. The constructor rejects non-minimal generating sets; use
-    ``minimalize`` to canonicalize raw input.
+    structural. ``masks`` holds the generators' masks in the same order, derived
+    once here for every mask-level consumer. The constructor rejects non-minimal
+    generating sets; use ``minimalize`` to canonicalize raw input.
     """
 
     n: int
     gens: tuple[Monomial, ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.gens)
-        masks = list(map(_mask, gens))
+        # from a list, whose length tuple() reads: from a bare iterator it
+        # shrinks an oversized tuple, and CPython's per-size free lists then
+        # hoard such tuples (megabytes of peak RSS over a long campaign)
+        masks = tuple([u.mask for u in gens])
         degrees = list(map(int.bit_count, masks))
         keys = list(zip(degrees, masks))
         if keys != sorted(keys):
             gens = _canonical(gens)
-            masks = list(map(_mask, gens))
+            masks = tuple([u.mask for u in gens])
             degrees = list(map(int.bit_count, masks))
         object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "masks", masks)
         n = self.n
         if not 1 <= n <= MAX_VARIABLES:
             raise ContractViolation(f"ambient size out of range: {clipped_repr(n)}")
@@ -101,17 +103,14 @@ class MonomialIdeal:
 
     @property
     def indeg(self) -> int:
-        return self.gens[0].degree
+        return self.masks[0].bit_count()
 
     def gens_of_degree(self, d: int) -> tuple[Monomial, ...]:
         return tuple(u for u in self.gens if u.degree == d)
 
     def contains(self, mono: Monomial) -> bool:
         mask = mono.mask
-        for g in self.gens:
-            if g.mask & mask == g.mask:
-                return True
-        return False
+        return any(g & mask == g for g in self.masks)
 
     def as_dict(self) -> dict:
         return {"n": self.n, "generators": [list(u.indices) for u in self.gens]}
@@ -172,7 +171,7 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
     return MonomialIdeal(n, [Monomial(m) for m in below + level])
 
 
-def scan_component(gen_masks: list[int], n: int, t: int) -> Iterator[tuple[int, bool]]:
+def scan_component(gen_masks: Sequence[int], n: int, t: int) -> Iterator[tuple[int, bool]]:
     """The degree-t masks, ascending, each with whether a generator mask divides it
     (none of degree above t does). Lazy: a caller stops once it has what it needs."""
     for m in iter_degree_masks(n, t):
@@ -188,16 +187,16 @@ def graded_component(I: MonomialIdeal, t: int) -> set[Monomial]:
     """All degree-t monomials of the ideal (the superset test, not iterated shadows)."""
     if not 0 <= t <= I.n:
         raise ContractViolation(f"degree {t} outside 0..{I.n}")
-    return {Monomial(m) for m, inside in scan_component([g.mask for g in I.gens], I.n, t) if inside}
+    return {Monomial(m) for m, inside in scan_component(I.masks, I.n, t) if inside}
 
 
 def degree_profile(I: MonomialIdeal) -> DegreeProfile:
-    return tuple(sorted(Counter(u.mask.bit_count() for u in I.gens).items()))
+    return tuple(sorted(Counter(map(int.bit_count, I.masks)).items()))
 
 
 def is_strongly_stable_ideal(I: MonomialIdeal) -> bool:
     """Every index-lowering move of every generator stays inside the ideal."""
-    masks = [u.mask for u in I.gens]
+    masks = I.masks
     members = set(masks)
     for k, u in enumerate(masks):
         for v in borel_move_masks(u):

@@ -120,21 +120,6 @@ def require_ambient(monos: Iterable[Monomial], n: int) -> None:
                 raise ContractViolation(f"{u} does not live in e_1..e_{n}")
 
 
-def revlex_descending(monos: Iterable[Monomial]) -> list[Monomial]:
-    """A homogeneous collection sorted from revlex-largest to revlex-smallest."""
-    out = sorted(monos, key=lambda u: u.mask)
-    common_degree(out)
-    return out
-
-
-def revlex_min(monos: Iterable[Monomial]) -> Monomial:
-    """The revlex-smallest member (the largest mask)."""
-    out = revlex_descending(monos)
-    if not out:
-        raise ContractViolation("revlex_min of an empty collection")
-    return out[-1]
-
-
 def iter_degree_masks(n: int, d: int) -> Iterator[int]:
     """Masks of all degree-d monomials in e_1..e_n, ascending (= revlex descending)."""
     if d < 0 or d > n:

@@ -214,10 +214,10 @@ def verify_shadow_counting(n_max: int = 6, ideal_n_max: int = 5) -> Verification
             }
 
     def check_ideal(I: MonomialIdeal):
-        n, gen_masks = I.n, [g.mask for g in I.gens]
+        n = I.n
         for t in range(I.indeg, n):
             # ascending, so "largest index <= p" (m < 2^p) is a prefix
-            comp = [m for m, inside in scan_component(gen_masks, n, t) if inside]
+            comp = [m for m, inside in scan_component(I.masks, n, t) if inside]
             pieces = set()  # the union over i in (t, p], grown one i at a time
             for p in range(t + 1, n + 1):
                 prefix = comp[: bisect_left(comp, 1 << p)]
@@ -444,7 +444,7 @@ def verify_revlex_characterizations(
 def _boundary_squared_failures(I: MonomialIdeal, i_max: int) -> Iterator[dict]:
     """The first element of homological degree 2..i_max with d(d(elem)) != 0, if any,
     by the oracle's own boundary (looked up when called, so a test can swap it)."""
-    boundary, gen_masks = cartan._boundary_terms, [g.mask for g in I.gens]
+    boundary, gen_masks = cartan._boundary_terms, I.masks
     for i in range(2, i_max + 1):
         for j in range(I.n + i + 1):
             for mask, powers in chain_space(I, i, j):

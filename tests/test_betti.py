@@ -26,6 +26,7 @@ from excolex.errors import (
     ProfileMismatch,
     TableTooLarge,
 )
+from excolex.cartan import cartan_betti
 from excolex.colex import colex_ideal
 from excolex.enumeration import enumerate_strongly_stable_ideals
 from excolex.ideals import MonomialIdeal, graded_component, minimalize
@@ -216,6 +217,22 @@ def test_compare_accepts_precomputed_tables():
     assert verdict.mode == MODE_EQUAL
     with pytest.raises(ContractViolation):
         compare_betti(I, I, 9, table_i=t, table_j=t)
+
+
+def test_tables_of_different_subjects_are_refused():
+    # beta_i of the quotient is beta_{i-1} of the ideal: read as one convention,
+    # the two tables of (e1e2, e1e3, e2e3) disagree, and through the quotient's
+    # totals the ideal would read as an upper bound on itself
+    I = ideal(4, "e1e2", "e1e3", "e2e3")
+    tables = cartan_betti(I, 4)
+    closed = stable_betti_table(I, 3)
+    assert tables_agree(tables.ideal, closed, 3)
+    with pytest.raises(ContractViolation, match="the quotient's table against the ideal's"):
+        tables_agree(tables.quotient, closed, 3)
+    assert compare_betti(I, I, 3, table_i=tables.ideal).mode == MODE_EQUAL
+    for supplied in ({"table_i": tables.quotient}, {"table_j": tables.quotient}):
+        with pytest.raises(ContractViolation, match="supplied the quotient's table"):
+            compare_betti(I, I, 3, **supplied)
 
 
 def test_compare_serialization():

@@ -36,7 +36,7 @@ from excolex.ideals import (
     is_strongly_stable_ideal,
     minimalize,
 )
-from excolex.monomials import Monomial, iter_degree_masks, revlex_segment
+from excolex.monomials import Monomial, iter_degree_masks, revlex_segment, shadow
 
 M = Monomial.from_text
 
@@ -269,8 +269,10 @@ def test_segment_shadow_conditions_contracts():
 def test_segment_shadow_triple_equivalence(n):
     for d in range(1, n - 2):
         for length in range(1, comb(n, d) + 1):
-            a, b, c = segment_shadow_conditions(revlex_segment(n, d, length), n)
+            segment = revlex_segment(n, d, length)
+            a, b, c = segment_shadow_conditions(segment, n)
             assert a == b == c
+            assert a == is_revlex_segment(shadow(segment, n), n)
 
 
 # --- two-degree report ----------------------------------------------------------
@@ -317,6 +319,42 @@ def test_two_degree_hypothesis_violations():
         revlex_conditions_two_degrees(ideal(5, "e1e2", "e1e3e4"))  # d2 = 3 = n-2
 
 
+def two_degree_reference(I):
+    """The two-degree report computed on sets of monomials: graded components
+    read over the construction's ambient, and w as the revlex-least member of
+    the shadow of the degree-d1 segment."""
+    (d1, dim_d1), (d2, _) = degree_profile(I)
+    J = colex_ideal(I)
+    n = J.n
+    a_size = sum(comb(r, d1) for r in range(d1, n - 1))
+    dim_construction_d2 = len(graded_component(J, d2))
+    c, holds_ii = 0, False
+    if d2 == d1 + 1:
+        w = max(shadow(revlex_segment(n, d1, dim_d1), n), key=lambda u: u.mask)
+        z = Monomial.from_indices(range(n - d1 - 1, n))
+        c = sum(z.mask < m <= w.mask for m in iter_degree_masks(n, d2))
+        holds_ii = dim_construction_d2 >= a_size + c
+    holds_i = dim_d1 >= comb(n - 2, d1)
+    is_revlex = all(
+        is_revlex_segment(graded_component(J, t), n) for t in range(J.indeg, n + 1)
+    )
+    return {
+        "n": n,
+        "d1": d1,
+        "d2": d2,
+        "dim_d1": dim_d1,
+        "dim_d2": len(graded_component(MonomialIdeal(n, I.gens), d2)),
+        "dim_construction_d2": dim_construction_d2,
+        "threshold_i": comb(n - 2, d1),
+        "holds_i": holds_i,
+        "a_size": a_size,
+        "c": c,
+        "holds_ii": holds_ii,
+        "is_revlex": is_revlex,
+        "consistent": is_revlex == (holds_i or holds_ii),
+    }
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_two_degree_biconditional_exhaustive(n):
     for I in enumerate_strongly_stable_ideals(n):
@@ -327,6 +365,7 @@ def test_two_degree_biconditional_exhaustive(n):
         except HypothesisViolated:
             continue
         assert rep.consistent, (gens_text(I), rep.as_dict())
+        assert rep.as_dict() == two_degree_reference(I), gens_text(I)
 
 
 # --- single-degree criterion ----------------------------------------------------

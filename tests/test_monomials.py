@@ -24,8 +24,6 @@ from excolex.monomials import (
     iter_degree_masks,
     partial_shadow,
     require_ambient,
-    revlex_descending,
-    revlex_min,
     revlex_segment,
     shadow,
     shadow_masks,
@@ -108,17 +106,21 @@ def mask_cmp(u, v):
     return (u.mask < v.mask) - (u.mask > v.mask)
 
 
+def by_mask(monos):
+    """Ascending masks: the module's revlex-descending order within one degree."""
+    return sorted(monos, key=lambda u: u.mask)
+
+
 def test_revlex_trivial_examples():
-    assert revlex_descending([M("e2e3"), M("e1e3")]) == [M("e1e3"), M("e2e3")]
+    assert by_mask([M("e2e3"), M("e1e3")]) == [M("e1e3"), M("e2e3")]
+    assert revlex_cmp_reference(M("e1e3"), M("e2e3")) == 1
     assert revlex_cmp_reference(M("e2e4"), M("e2e4")) == 0
-    with pytest.raises(ContractViolation):
-        revlex_descending([M("e1"), M("e1e2")])
 
 
 def test_revlex_derived_example():
     # frozen from the positional comparator: last slots 3 < 4 decide
     assert revlex_cmp_reference(M("e2e3"), M("e1e4")) == 1
-    assert revlex_descending([M("e1e4"), M("e2e3")]) == [M("e2e3"), M("e1e4")]
+    assert by_mask([M("e1e4"), M("e2e3")]) == [M("e2e3"), M("e1e4")]
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (6, 3)])
@@ -127,6 +129,10 @@ def test_revlex_matches_reference_everywhere(n, d):
     for u in universe:
         for v in universe:
             assert mask_cmp(u, v) == revlex_cmp_reference(u, v)
+    by_definition = sorted(
+        universe, key=functools.cmp_to_key(lambda a, b: -revlex_cmp_reference(a, b))
+    )
+    assert by_mask(reversed(universe)) == by_definition
 
 
 @given(
@@ -140,13 +146,7 @@ def test_revlex_total_order_on_triples(triple):
     by_definition = sorted(
         triple, key=functools.cmp_to_key(lambda a, b: -revlex_cmp_reference(a, b))
     )
-    assert revlex_descending(triple) == by_definition
-
-
-def test_revlex_descending_and_min():
-    monos = mset("e1e4", "e2e3", "e1e2")
-    assert revlex_descending(monos) == [M("e1e2"), M("e2e3"), M("e1e4")]
-    assert revlex_min(monos) == M("e1e4")
+    assert by_mask(triple) == by_definition
 
 
 # --- segments ----------------------------------------------------------------
