@@ -8,8 +8,8 @@ Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     ContractViolation,
@@ -32,32 +32,57 @@ MODE_INCOMPARABLE = "Incomparable"
 # i <= i_max and generator degree t.
 MAX_TABLE_CELLS = 10_000
 
+_set = object.__setattr__  # BettiTable's own __setattr__ refuses every write
 
-@dataclass(frozen=True, eq=True)
+
 class BettiTable:
     """Graded Betti numbers up to a homological cutoff.
 
     ``subject`` records which object the table describes ("ideal" or
     "quotient"); mixing conventions is a bug the flag makes loud. Entries are
-    a map (i, j) -> positive count; absent entries are zero.
+    a map (i, j) -> positive count; absent entries are zero. Tables compare
+    by value, are immutable and are not hashable.
     """
 
-    subject: str
-    i_max: int
-    entries: dict
+    __slots__ = ("subject", "i_max", "entries")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.subject not in (SUBJECT_IDEAL, SUBJECT_QUOTIENT):
-            raise ContractViolation(f"unknown table subject {self.subject!r}")
-        if self.i_max < 0:
-            raise ContractViolation(f"negative homological cutoff: {clipped_repr(self.i_max)}")
+    def __init__(self, subject: str, i_max: int, entries: dict):
+        if subject not in (SUBJECT_IDEAL, SUBJECT_QUOTIENT):
+            raise ContractViolation(f"unknown table subject {subject!r}")
+        if i_max < 0:
+            raise ContractViolation(f"negative homological cutoff: {clipped_repr(i_max)}")
         cleaned = {}
-        for (i, j), v in self.entries.items():
+        for (i, j), v in entries.items():
             if v < 0:
                 raise ContractViolation(f"negative Betti number at {(i, j)}: {v}")
-            if v and 0 <= i <= self.i_max:
+            if v and 0 <= i <= i_max:
                 cleaned[(i, j)] = v
-        object.__setattr__(self, "entries", cleaned)
+        _set(self, "subject", subject)
+        _set(self, "i_max", i_max)
+        _set(self, "entries", cleaned)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: BettiTable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: BettiTable is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return BettiTable, (self.subject, self.i_max, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subject, self.i_max, self.entries) == (
+            other.subject, other.i_max, other.entries
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"BettiTable(subject={self.subject!r}, i_max={self.i_max!r}, "
+            f"entries={self.entries!r})"
+        )
 
     def entry(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -165,8 +190,7 @@ def max_index_domination(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     return all(a <= b for a, b in zip(ours, theirs))
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     """Direction of the total-Betti comparison of J against I, up to a cutoff.
 
     ``strict_indices`` lists the i with strict inequality in the verdict's
@@ -214,7 +238,7 @@ def compare_betti(
     left, right = ti.totals(), tj.totals()
     below = [i for i in range(i_max + 1) if right[i] < left[i]]
     above = [i for i in range(i_max + 1) if right[i] > left[i]]
-    equal = tuple(i for i in range(i_max + 1) if right[i] == left[i])
+    equal = tuple([i for i in range(i_max + 1) if right[i] == left[i]])
     if not below and not above:
         mode, strict = MODE_EQUAL, ()
     elif not above:

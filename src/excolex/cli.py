@@ -3,6 +3,9 @@
 Exit codes: 0 success/verified, 1 claim falsified (a counterexample is a
 result, not a tool failure), 2 usage or contract error, 3 resource cap
 exceeded.
+
+Each command imports the modules it runs inside its own function, so a cold
+start pays only for those, and building the parser imports none of them.
 """
 
 from __future__ import annotations
@@ -11,10 +14,6 @@ import argparse
 import json
 import sys
 
-from .betti import compare_betti, stable_betti_table, tables_agree
-from .cartan import cartan_betti
-from .colex import DEFAULT_AMBIENT_CAP, colex_ideal, construction_dict
-from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
 from .errors import (
     AmbientCapExceeded,
     ConstructionTooLarge,
@@ -23,17 +22,21 @@ from .errors import (
     TableTooLarge,
     clipped_repr,
 )
-from .ideals import MonomialIdeal, is_strongly_stable_ideal
-from .monomials import MAX_VARIABLES
-from .verify import CLAIMS, claim_name, run_claim
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# A copy of ``verify.CLAIMS`` for the --claim metavar (a test keeps the two equal).
+CLAIM_NAMES = (
+    "green", "colex-bound", "prop42", "lemma41", "example51", "section6", "oracle-agreement",
+)
 
-def _read_ideal(path: str, allow_text: bool) -> MonomialIdeal:
+
+def _read_ideal(path: str, allow_text: bool):
+    from .ideals import MonomialIdeal
+
     try:
         if path == "-":
             data = json.load(sys.stdin)
@@ -54,12 +57,18 @@ def _emit(obj) -> None:
 
 
 def _cmd_colex(args) -> int:
+    from .colex import DEFAULT_AMBIENT_CAP, colex_ideal, construction_dict
+
     I = _read_ideal(args.input, args.text)
-    _emit(construction_dict(colex_ideal(I, m_cap=args.m_cap)))
+    m_cap = DEFAULT_AMBIENT_CAP if args.m_cap is None else args.m_cap
+    _emit(construction_dict(colex_ideal(I, m_cap=m_cap)))
     return EXIT_OK
 
 
 def _cmd_betti(args) -> int:
+    from .betti import stable_betti_table, tables_agree
+    from .ideals import is_strongly_stable_ideal
+
     I = _read_ideal(args.input, args.text)
     if args.oracle and not is_strongly_stable_ideal(I):
         table = None  # no closed form: the oracle tables stand alone
@@ -68,6 +77,8 @@ def _cmd_betti(args) -> int:
     if not args.oracle:
         _emit(table.as_dict())
         return EXIT_OK
+    from .cartan import cartan_betti
+
     oracle_i = min(args.i_max, args.oracle_i_max)
     tables = cartan_betti(I, oracle_i + 1, prime=args.field)
     _emit(
@@ -85,6 +96,8 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .betti import compare_betti
+
     left = _read_ideal(args.left, args.text)
     right = _read_ideal(args.right, args.text)
     verdict = compare_betti(left, right, args.i_max)
@@ -93,6 +106,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_claim
+
     report = run_claim(args.claim, n_max=args.n_max, i_max=args.i_max)
     payload = report.as_dict()
     if args.json:
@@ -108,6 +123,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
+    from .ideals import MonomialIdeal
+    from .monomials import MAX_VARIABLES
+
     if not 1 <= args.n <= MAX_VARIABLES:
         raise ContractViolation(f"--n must lie in 1..{MAX_VARIABLES}, got {clipped_repr(args.n)}")
     if args.d is not None and not 1 <= args.d <= args.n:
@@ -142,6 +161,8 @@ def _int(text: str) -> int:
 
 def _claim(text: str) -> str:
     """The type of --claim: an unknown name is echoed clipped, unlike ``choices``."""
+    from .verify import claim_name
+
     try:
         return claim_name(text)
     except ContractViolation as exc:
@@ -168,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colex", help="build the colexsegment ideal of an ideal")
     p.add_argument("--input", required=True, help="ideal JSON file, or - for stdin")
-    p.add_argument("--m-cap", type=_int, default=DEFAULT_AMBIENT_CAP, dest="m_cap")
+    p.add_argument("--m-cap", type=_int, default=None, dest="m_cap")
     p.add_argument("--text", action="store_true", help="accept 'e1e3e4' generator strings")
     p.set_defaults(func=_cmd_colex)
 
@@ -190,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("verify", help="run a named verification campaign")
-    p.add_argument("--claim", required=True, type=_claim, metavar="{%s}" % ",".join(CLAIMS))
+    p.add_argument("--claim", required=True, type=_claim, metavar="{%s}" % ",".join(CLAIM_NAMES))
     p.add_argument("--n-max", type=_int, default=None, dest="n_max")
     p.add_argument("--i-max", type=_int, default=None, dest="i_max")
     p.add_argument("--json", default=None, help="also write the report to this file")

@@ -12,10 +12,9 @@ argument so that this can be checked by rerunning it at larger m.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import groupby, islice, takewhile
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     AmbientCapExceeded,
@@ -62,7 +61,7 @@ def greedy_generators(profile: DegreeProfile, m: int) -> tuple[Monomial, ...] | 
         else:
             return None
         chosen += picks
-    return tuple(Monomial(mask) for mask in chosen)
+    return tuple([Monomial(mask) for mask in chosen])
 
 
 def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> MonomialIdeal:
@@ -147,8 +146,7 @@ def segment_shadow_conditions(monos, n: int) -> tuple[bool, bool, bool]:
     return (shadow_length is not None, big_enough, corner in masks)
 
 
-@dataclass(frozen=True)
-class RevlexConditionReport:
+class RevlexConditionReport(NamedTuple):
     """Both numeric conditions for a two-degree colexsegment ideal to be revlex.
 
     Everything is evaluated over the ambient where the construction completed
@@ -178,7 +176,7 @@ class RevlexConditionReport:
         return self.is_revlex == (self.holds_i or self.holds_ii)
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "consistent": self.consistent}
+        return {**self._asdict(), "consistent": self.consistent}
 
 
 def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:

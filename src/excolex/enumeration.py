@@ -25,7 +25,7 @@ from .monomials import Monomial, borel_move_masks, iter_degree_masks
 
 
 def _facet_masks(mask: int) -> tuple[int, ...]:
-    return tuple(mask ^ (1 << k) for k in range(mask.bit_length()) if mask >> k & 1)
+    return tuple([mask ^ (1 << k) for k in range(mask.bit_length()) if mask >> k & 1])
 
 
 def _down_sets(

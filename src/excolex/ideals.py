@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractViolation, clipped_repr
@@ -29,6 +28,8 @@ from .monomials import (
 
 # A degree profile is the sorted tuple of (degree, generator count) pairs.
 DegreeProfile = tuple[tuple[int, int], ...]
+
+_set = object.__setattr__  # MonomialIdeal's own __setattr__ refuses every write
 
 
 def _canonical(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -51,22 +52,20 @@ def _refuse_masks(gens: tuple[Monomial, ...], masks: tuple[int, ...], n: int) ->
         previous = mask
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """A proper nonzero monomial ideal, keyed by ambient size and sorted generators.
 
-    Generators are stored by (degree, revlex-descending) order; equality is
-    structural. ``masks`` holds the generators' masks in the same order, derived
-    once here for every mask-level consumer. The constructor rejects non-minimal
+    Generators are stored by (degree, revlex-descending) order; equality and
+    hashing are structural on ``(n, gens)``, and instances are immutable.
+    ``masks`` holds the generators' masks in the same order, derived once here
+    for every mask-level consumer. The constructor rejects non-minimal
     generating sets; use ``minimalize`` to canonicalize raw input.
     """
 
-    n: int
-    gens: tuple[Monomial, ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "gens", "masks")
 
-    def __post_init__(self):
-        gens = tuple(self.gens)
+    def __init__(self, n: int, gens: Iterable[Monomial]):
+        gens = tuple(gens)
         # from a list, whose length tuple() reads: from a bare iterator it
         # shrinks an oversized tuple, and CPython's per-size free lists then
         # hoard such tuples (megabytes of peak RSS over a long campaign)
@@ -77,9 +76,9 @@ class MonomialIdeal:
             gens = _canonical(gens)
             masks = tuple([u.mask for u in gens])
             degrees = list(map(int.bit_count, masks))
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "masks", masks)
-        n = self.n
+        _set(self, "n", n)
+        _set(self, "gens", gens)
+        _set(self, "masks", masks)
         if not 1 <= n <= MAX_VARIABLES:
             raise ContractViolation(f"ambient size out of range: {clipped_repr(n)}")
         if not gens:
@@ -101,12 +100,32 @@ class MonomialIdeal:
                         )
             start = end
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: MonomialIdeal is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: MonomialIdeal is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return MonomialIdeal, (self.n, self.gens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.gens == other.gens
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.gens))
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal(n={self.n!r}, gens={self.gens!r})"
+
     @property
     def indeg(self) -> int:
         return self.masks[0].bit_count()
 
     def gens_of_degree(self, d: int) -> tuple[Monomial, ...]:
-        return tuple(u for u in self.gens if u.degree == d)
+        return tuple([u for u in self.gens if u.degree == d])
 
     def contains(self, mono: Monomial) -> bool:
         mask = mono.mask

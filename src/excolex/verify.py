@@ -14,7 +14,6 @@ bounds n_max and i_max onto the campaign's keywords.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -59,13 +58,21 @@ BETA1_TARGET = 200
 DD_I_MAX = 4
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    universe: dict
-    instances: int
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    """The outcome of one campaign: its universe, instance count, failure
+    payloads and notes; ``status`` is derived from them."""
+
+    __slots__ = ("claim", "universe", "instances", "failures", "notes")
+
+    def __init__(
+        self, claim: str, universe: dict, instances: int,
+        failures: list | None = None, notes: list | None = None,
+    ):
+        self.claim = claim
+        self.universe = universe
+        self.instances = instances
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     @property
     def status(self) -> str:
@@ -74,7 +81,14 @@ class VerificationReport:
         return "verified" if self.instances > 0 else "skipped"
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "status": self.status}
+        return {
+            "claim": self.claim,
+            "universe": dict(self.universe),
+            "instances": self.instances,
+            "failures": list(self.failures),
+            "notes": list(self.notes),
+            "status": self.status,
+        }
 
 
 def _run(claim: str, universe: dict, *parts: tuple[Iterable, Callable]) -> VerificationReport:

@@ -5,6 +5,8 @@ C(m+i-1, m-1) and are independently confirmed against the homology oracle in
 test_cartan.py.
 """
 
+import copy
+
 import pytest
 
 from excolex.betti import (
@@ -41,6 +43,35 @@ def ideal(n, *texts):
 
 def totals(table, upto):
     return [table.total(i) for i in range(upto + 1)]
+
+
+def test_table_record_contract():
+    table = BettiTable("ideal", 1, {(0, 2): 1, (1, 3): 0, (2, 4): 5})
+    assert repr(table) == "BettiTable(subject='ideal', i_max=1, entries={(0, 2): 1})"
+    assert table == BettiTable("ideal", 1, {(0, 2): 1})
+    assert table != BettiTable("quotient", 1, {(0, 2): 1})
+    assert table != ("ideal", 1, {(0, 2): 1})
+    with pytest.raises(TypeError):
+        hash(table)
+    with pytest.raises(AttributeError):
+        table.i_max = 2
+    assert copy.deepcopy(table) == table
+
+
+def test_verdict_record_contract():
+    I = ideal(5, "e1e2", "e1e3", "e1e4", "e2e3e4")
+    J = ideal(5, "e1e2", "e1e3", "e2e3", "e1e4e5")
+    verdict = compare_betti(I, J, 4)
+    assert verdict.as_dict() == {
+        "mode": "UpperBoundAllChecked",
+        "strict_indices": [2, 3, 4],
+        "equal_indices": [0, 1],
+        "i_max": 4,
+        "domination": False,
+    }
+    assert list(verdict.as_dict()) == [
+        "mode", "strict_indices", "equal_indices", "i_max", "domination",
+    ]
 
 
 def test_principal_ideal_growth():

@@ -340,6 +340,12 @@ def test_verify_bounds_out_of_range_are_usage_errors(capsys, bound):
     assert not out and err
 
 
+def test_claim_metavar_copy_matches_the_campaigns():
+    from excolex import cli, verify
+
+    assert cli.CLAIM_NAMES == verify.CLAIMS
+
+
 def test_unknown_claim_is_argparse_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--claim", "made-up"])
@@ -352,7 +358,7 @@ def test_counterexample_report_maps_to_exit_one(capsys, monkeypatch):
     def falsified(claim, n_max=None, i_max=None):
         return VerificationReport(claim, {}, 1, failures=[{"witness": "x"}])
 
-    monkeypatch.setattr("excolex.cli.run_claim", falsified)
+    monkeypatch.setattr("excolex.verify.run_claim", falsified)
     code, out, _ = run(capsys, "verify", "--claim", "green")
     assert code == 1
     assert json.loads(out)["status"] == "counterexample"

@@ -283,6 +283,19 @@ def test_two_degree_report_consistency_example():
     assert rep.is_revlex == (rep.holds_i or rep.holds_ii)
 
 
+def test_two_degree_report_serialization():
+    rep = revlex_conditions_two_degrees(ideal(7, "e1e2", "e1e3", "e1e4", "e2e3e4"))
+    expected = {
+        "n": 7, "d1": 2, "d2": 3, "dim_d1": 3, "dim_d2": 13, "dim_construction_d2": 14,
+        "threshold_i": 10, "holds_i": False, "a_size": 20, "c": 3, "holds_ii": False,
+        "is_revlex": False, "consistent": True,
+    }
+    assert rep.as_dict() == expected
+    assert list(rep.as_dict()) == list(expected)
+    flipped = rep._replace(is_revlex=True)
+    assert flipped.as_dict() == {**expected, "is_revlex": True, "consistent": False}
+
+
 def test_two_degree_condition_one_boundary():
     # degree-1 part of dimension exactly C(n-2, 1) over n = 6
     I = ideal(6, "e1", "e2", "e3", "e4", "e5e6")

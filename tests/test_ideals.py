@@ -1,5 +1,7 @@
 """Ideal layer: minimal generators, graded components, stability, profiles."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -25,6 +27,36 @@ M = Monomial.from_text
 
 def ideal(n, *texts):
     return minimalize(n, [M(t) for t in texts])
+
+
+def test_equality_and_hash_are_structural_on_n_and_gens():
+    I = ideal(5, "e1e2", "e1e3", "e2e3", "e1e4e5")
+    J = MonomialIdeal(5, list(reversed(I.gens)))  # sorted by the constructor
+    assert I == J and hash(I) == hash((I.n, I.gens)) == hash(J)
+    assert I != ideal(6, "e1e2", "e1e3", "e2e3", "e1e4e5")
+    # the derived masks take no part, even when they disagree
+    K = copy.copy(I)
+    object.__setattr__(K, "masks", ())
+    assert K == I and hash(K) == hash(I)
+    # never equal to a plain tuple of its fields, from either side
+    for plain in ((I.n, I.gens), (I.n, I.gens, I.masks)):
+        assert I != plain and plain != I
+
+
+def test_repr_lists_n_and_gens_only():
+    I = ideal(5, "e1e2", "e1e3", "e2e3", "e1e4e5")
+    assert repr(I) == "MonomialIdeal(n=5, gens=(e1e2, e1e3, e2e3, e1e4e5))"
+
+
+def test_ideal_is_immutable_and_copies_through_the_constructor():
+    I = ideal(4, "e1e2", "e1e3", "e2e3e4")
+    for name in ("n", "gens", "masks", "other"):
+        with pytest.raises(AttributeError):
+            setattr(I, name, None)
+        with pytest.raises(AttributeError):
+            delattr(I, name)
+    for twin in (copy.copy(I), copy.deepcopy(I), pickle.loads(pickle.dumps(I))):
+        assert twin == I and twin.masks == I.masks
 
 
 def test_constructor_validations():

@@ -1,7 +1,6 @@
 """Verification campaigns on reduced bounds, report semantics, determinism."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -33,6 +32,11 @@ def test_report_status_semantics():
     assert r.status == "verified"
     r.failures.append({"boom": 1})
     assert r.status == "counterexample"
+    assert r.as_dict() == {
+        "claim": "demo", "universe": {}, "instances": 3,
+        "failures": [{"boom": 1}], "notes": [], "status": "counterexample",
+    }
+    assert list(r.as_dict()) == ["claim", "universe", "instances", "failures", "notes", "status"]
 
 
 def test_green_small():
@@ -219,7 +223,7 @@ def test_section6_failure_stays_per_ideal(monkeypatch):
     def flipped(I):
         rep = real(I)
         if (I.n, degree_profile(I)) == key:
-            return replace(rep, is_revlex=not rep.is_revlex)
+            return rep._replace(is_revlex=not rep.is_revlex)
         return rep
 
     monkeypatch.setattr(verify, "revlex_conditions_two_degrees", flipped)
