@@ -17,15 +17,17 @@ prime field.
   included) and makes the strand acyclic (Gasharov-Peeva-Welker 1999; in E,
   Aramova-Avramov-Herzog, Trans. AMS 2000). So one tiny elimination per union
   of generators (the LCM lattice) covers every graded piece.
-* "direct": assemble one sparse +/-1 matrix per (homological, internal)
-  degree cell and eliminate it whole. Slower, kept as the cross-check path.
+* "direct": build one sparse +/-1 boundary matrix per (homological, internal)
+  degree cell at once, from the surviving masks of its two monomial degrees
+  and the tables of power multi-indices of its two levels, and eliminate it
+  whole. Slower, kept as the cross-check path.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd, isqrt
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .betti import MAX_TABLE_CELLS, SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from .errors import ContractViolation, OracleTooLarge, TableTooLarge, clipped_repr
@@ -38,14 +40,11 @@ DEFAULT_PRIME = 32003
 DEFAULT_CELL_CAP = 50_000
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """Nonnegative integer tuples with the given sum, in ascending lex order."""
     if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return [(total,)]
+    return [(a,) + rest for a in range(total + 1) for rest in _compositions(total - a, parts - 1)]
 
 
 def chain_space(I: MonomialIdeal, i: int, j: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -60,30 +59,37 @@ def chain_space(I: MonomialIdeal, i: int, j: int) -> list[tuple[int, tuple[int, 
     if d < 0 or d > I.n:
         return []
     survivors = [m for m, inside in scan_component(I.masks, I.n, d) if not inside]
-    powers = list(_compositions(i, I.n)) if survivors else []
+    powers = _compositions(i, I.n) if survivors else []
     return [(s, a) for s in survivors for a in powers]
 
 
-def _boundary_terms(mask: int, powers: tuple, gen_masks: Sequence[int]) -> list[tuple]:
-    """The boundary of one basis element (mask, powers), as (sign, mask, powers) terms.
+@lru_cache(maxsize=16)  # few (level, n) pairs recur; the direct guard bounds each table
+def _multi_indices(i: int, n: int) -> tuple[tuple, tuple]:
+    """The level-i multi-indices over n variables in lex order, and for each its
+    lowerings: (k, position of a - e_k among the level-(i - 1) ones) for a_k > 0."""
+    powers = tuple(_compositions(i, n))
+    below = {a: y for y, a in enumerate(_compositions(i - 1, n))} if i else {}
+    return powers, tuple(
+        tuple((k, below[a[:k] + (a_k - 1,) + a[k + 1:]]) for k, a_k in enumerate(a) if a_k)
+        for a in powers
+    )
 
-    Preserves internal degree and drops homological degree by one. Terms where
-    the new index already divides the monomial, or where the product lies in
-    the ideal, vanish.
-    """
-    out = []
-    for k, a_k in enumerate(powers):
-        bit = 1 << k
-        if a_k == 0 or mask & bit:
-            continue
-        grown = mask | bit
-        for g in gen_masks:
-            if g & grown == g:
-                break
-        else:
-            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            out.append((sign, grown, powers[:k] + (a_k - 1,) + powers[k + 1:]))
-    return out
+
+def _boundary_matrix(sources: Sequence[int], targets: Sequence[int], i: int, n: int) -> list[dict]:
+    """The boundary from level i to i - 1 on one degree cell, as {column: sign} rows
+    over ``chain_space``'s bases; ``sources`` and ``targets`` are the ascending
+    surviving masks of degrees d and d + 1. A term e_k s that is no survivor (k
+    divides s, or the product is in the ideal) vanishes."""
+    lowered, rows = _multi_indices(i, n)[1], []
+    width = comb(n + i - 2, i - 1)  # the number of level-(i - 1) multi-indices
+    block = {t: c * width for c, t in enumerate(targets)}  # a target's first column
+    for s in sources:
+        base, sign = [0] * n, [0] * n  # by index k: the column block and sign, 0 if none
+        for k in range(n):
+            if (b := block.get(s | 1 << k)) is not None:
+                base[k], sign[k] = b, -1 if (s & ((1 << k) - 1)).bit_count() & 1 else 1
+        rows.extend({base[k] + y: sign[k] for k, y in low if sign[k]} for low in lowered)
+    return rows
 
 
 @lru_cache(maxsize=None, typed=True)  # a rejected p raises, so is never cached
@@ -239,22 +245,19 @@ def _betti_by_strands(
 
 
 def _betti_direct(I: MonomialIdeal, i_max: int, rank_fn) -> dict[tuple[int, int], int]:
-    entries: dict[tuple[int, int], int] = {}
-    for j in range(I.n + i_max + 1):  # the differential keeps the internal degree
-        spaces = [chain_space(I, i, j) for i in range(i_max + 2)]
-        ranks = []  # ranks[i]: the boundary from level i + 1 down to level i
-        for dst, src in zip(spaces, spaces[1:]):
-            if not src or not dst:
-                ranks.append(0)
-                continue
-            position = {elem: c for c, elem in enumerate(dst)}
-            boundaries = (_boundary_terms(mask, powers, I.masks) for mask, powers in src)
-            rows = [{position[m, a]: sign for sign, m, a in terms} for terms in boundaries]
-            ranks.append(rank_fn(rows))
+    n, entries = I.n, {}
+    survivors = [[m for m, inside in scan_component(I.masks, n, d) if not inside]
+                 for d in range(n + 1)]
+    for j in range(n + i_max + 1):  # the differential keeps the internal degree
+        # level i: the survivors of degree j - i times the level-i multi-indices
+        cells = [survivors[j - i] if 0 <= j - i <= n else [] for i in range(i_max + 2)]
+        ranks = [  # ranks[i]: the boundary from level i + 1 down to level i
+            rank_fn(_boundary_matrix(src, dst, i + 1, n)) if src and dst else 0
+            for i, (dst, src) in enumerate(zip(cells, cells[1:]))
+        ]
+        dims = [len(cell) * comb(n + i - 1, i) for i, cell in enumerate(cells)]
         # level i_max + 1 misses its outgoing rank; only lower levels are kept
-        for i, h in _homology([len(space) for space in spaces], ranks).items():
-            if i <= i_max:
-                entries[(i, j)] = h
+        entries.update(((i, j), h) for i, h in _homology(dims, ranks).items() if i <= i_max)
     return entries
 
 

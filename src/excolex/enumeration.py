@@ -16,9 +16,8 @@ large to walk, a seeded draw of proper ideals tops it up.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
 
 from .ideals import MonomialIdeal, minimalize, scan_component
 from .monomials import Monomial, borel_move_masks, iter_degree_masks
@@ -127,6 +126,7 @@ def enumerate_proper_ideals(n: int) -> Iterator[MonomialIdeal]:
 
 def seeded_proper_ideals(n: int, count: int) -> list[MonomialIdeal]:
     """Deterministic pseudo-random proper ideals, dedup by canonical form."""
+    import random  # only the oracle-agreement campaign seeds ideals
     rng = random.Random(20240501)
     pool = [m for d in range(1, n + 1) for m in iter_degree_masks(n, d)]
     seen: set[tuple] = set()

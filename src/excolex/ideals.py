@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ContractViolation, clipped_repr
 from .monomials import (

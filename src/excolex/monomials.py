@@ -14,10 +14,11 @@ Degree-homogeneous collections are passed around as plain iterables or sets of
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from math import comb
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ContractViolation, InsufficientMonomials, clipped_repr
 
@@ -25,10 +26,10 @@ from .errors import ContractViolation, InsufficientMonomials, clipped_repr
 MAX_VARIABLES = 64
 
 
-class Monomial(NamedTuple):
+class Monomial(namedtuple("Monomial", "mask")):
     """A squarefree monomial e_{i1}...e_{id}, as a bitmask of its indices."""
 
-    mask: int
+    __slots__ = ()
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "Monomial":
@@ -78,13 +79,6 @@ class Monomial(NamedTuple):
 
     def contains(self, index: int) -> bool:
         return bool(self.mask >> (index - 1) & 1) if index >= 1 else False
-
-    def with_index(self, index: int) -> "Monomial":
-        if not 1 <= index <= MAX_VARIABLES:
-            raise ContractViolation(f"variable index out of range: {index}")
-        if self.contains(index):
-            raise ContractViolation(f"index {index} already present in {self}")
-        return Monomial(self.mask | 1 << (index - 1))
 
     def text(self) -> str:
         if not self.mask:

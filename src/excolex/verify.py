@@ -30,7 +30,7 @@ from .betti import (
     tables_agree,
 )
 from . import cartan
-from .cartan import cartan_betti, chain_space
+from .cartan import cartan_betti
 from .colex import (
     DEFAULT_AMBIENT_CAP,
     colex_ideal,
@@ -457,21 +457,24 @@ def verify_revlex_characterizations(
 
 def _boundary_squared_failures(I: MonomialIdeal, i_max: int) -> Iterator[dict]:
     """The first element of homological degree 2..i_max with d(d(elem)) != 0, if any,
-    by the oracle's own boundary (looked up when called, so a test can swap it)."""
-    boundary, gen_masks = cartan._boundary_terms, I.masks
+    by the oracle's boundary matrices (looked up when called, so a test can swap them)."""
+    n, kernel = I.n, cartan._boundary_matrix
+    survivors = [[m for m, inside in scan_component(I.masks, n, d) if not inside]
+                 for d in range(n + 2)]  # none of degree n + 1
+    rows = {(i, d): kernel(survivors[d], survivors[d + 1], i, n)  # each cell once
+            for i in range(1, i_max + 1) for d in range(n + 1)}
     for i in range(2, i_max + 1):
-        for j in range(I.n + i + 1):
-            for mask, powers in chain_space(I, i, j):
-                acc: dict = {}
-                for s1, m1, a1 in boundary(mask, powers, gen_masks):
-                    for s2, m2, a2 in boundary(m1, a1, gen_masks):
-                        acc[m2, a2] = acc.get((m2, a2), 0) + s1 * s2
+        powers = cartan._multi_indices(i, n)[0]
+        for d in range(n + 1):  # internal degree j = i + d, ascending
+            for x, row in enumerate(rows[i, d]):
+                acc: dict[int, int] = {}
+                for c, s1 in row.items():  # a term has degree d + 1 <= n
+                    for c2, s2 in rows[i - 1, d + 1][c].items():
+                        acc[c2] = acc.get(c2, 0) + s1 * s2
                 if any(acc.values()):
-                    yield {
-                        "case": "boundary squared",
-                        "ideal": I.as_dict(),
-                        "element": [Monomial(mask).text(), list(powers)],
-                    }
+                    mask, a = survivors[d][x // len(powers)], powers[x % len(powers)]
+                    element = [Monomial(mask).text(), list(a)]
+                    yield {"case": "boundary squared", "ideal": I.as_dict(), "element": element}
                     return
 
 

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from excolex import cartan
 from excolex.betti import stable_betti_table, tables_agree
 from excolex.cartan import cartan_betti, chain_space, exact_rank, rank_mod_p
+from excolex.enumeration import enumerate_proper_ideals
 from excolex.errors import ContractViolation, OracleTooLarge
-from excolex.ideals import minimalize
+from excolex.ideals import minimalize, scan_component
 from excolex.monomials import Monomial
-from excolex.verify import _boundary_squared_failures
+from excolex.verify import DD_I_MAX, _boundary_squared_failures
 
 M = Monomial.from_text
 
@@ -23,9 +24,24 @@ def ideal(n, *texts):
     return minimalize(n, [M(t) for t in texts])
 
 
+def survivors(I, d):
+    return [m for m, inside in scan_component(I.masks, I.n, d) if not inside]
+
+
+def cell_boundaries(I, i, j):
+    """The kernel's rows on the cell (i, j), each mapped back through the positions
+    of chain_space(I, i - 1, j) to (sign, mask, powers) terms, in row order."""
+    d = j - i
+    rows = cartan._boundary_matrix(survivors(I, d), survivors(I, d + 1), i, I.n)
+    below = chain_space(I, i - 1, j)
+    return [[(sign, *below[c]) for c, sign in row.items()] for row in rows]
+
+
 def boundary(mask, powers, I):
     """The oracle's boundary of the basis element (mask, powers), as (sign, mask, powers)."""
-    return cartan._boundary_terms(mask, powers, [g.mask for g in I.gens])
+    i = sum(powers)
+    j = i + mask.bit_count()
+    return cell_boundaries(I, i, j)[chain_space(I, i, j).index((mask, powers))]
 
 
 # --- chain spaces ----------------------------------------------------------------
@@ -117,8 +133,11 @@ def test_boundary_squared_zero_random(gens):
 
 def test_boundary_preserves_internal_degree():
     I = ideal(4, "e1e2e3")
-    for mask, powers in chain_space(I, 3, 5):
-        for _, grown, lowered in boundary(mask, powers, I):
+    elements = chain_space(I, 3, 5)
+    terms = cell_boundaries(I, 3, 5)
+    assert len(terms) == len(elements) and any(terms)
+    for (mask, powers), row in zip(elements, terms):
+        for _, grown, lowered in row:
             assert grown.bit_count() + sum(lowered) == mask.bit_count() + sum(powers)
             assert sum(lowered) == sum(powers) - 1
 
@@ -128,11 +147,12 @@ def reference_differential(mask, powers, I):
     mono = Monomial(mask)
     out = []
     for k, a_k in enumerate(powers, start=1):
-        if a_k == 0 or mono.contains(k) or I.contains(mono.with_index(k)):
+        grown = Monomial(mask | 1 << (k - 1))
+        if a_k == 0 or mono.contains(k) or I.contains(grown):
             continue
         lowered = powers[: k - 1] + (a_k - 1,) + powers[k:]
         sign = (-1) ** (mask & ((1 << (k - 1)) - 1)).bit_count()  # indices below k
-        out.append((sign, mono.with_index(k).mask, lowered))
+        out.append((sign, grown.mask, lowered))
     return out
 
 
@@ -140,25 +160,61 @@ def reference_differential(mask, powers, I):
 @settings(max_examples=60, deadline=None)
 def test_boundary_matches_the_literal_reference(I, i):
     for j in range(i, I.n + i + 1):
-        for mask, powers in chain_space(I, i, j):
-            assert boundary(mask, powers, I) == reference_differential(mask, powers, I)
+        elements = chain_space(I, i, j)
+        terms = cell_boundaries(I, i, j)
+        assert len(terms) == len(elements)  # one row per basis element, in basis order
+        for (mask, powers), row in zip(elements, terms):
+            assert row == reference_differential(mask, powers, I)
 
 
-@pytest.mark.parametrize("I", [ideal(3, "e1e2e3"), ideal(4, "e1e2", "e3e4")])
-def test_boundary_squared_check_catches_a_flipped_sign(I):
+@pytest.mark.parametrize(
+    "I, element",
+    [(ideal(3, "e1e2e3"), ["1", [0, 1, 1]]), (ideal(4, "e1e2", "e3e4"), ["1", [0, 1, 0, 1]])],
+    ids=["I0", "I1"],
+)
+def test_boundary_squared_check_catches_a_flipped_sign(I, element):
     assert list(_boundary_squared_failures(I, 3)) == []
-    real = cartan._boundary_terms
+    real = cartan._boundary_matrix
 
-    def one_sign_flipped(mask, powers, gen_masks):
-        terms = real(mask, powers, gen_masks)
-        if terms:  # the first term of every boundary changes sign
-            sign, grown, lowered = terms[0]
-            terms[0] = (-sign, grown, lowered)
-        return terms
+    def one_sign_flipped(sources, targets, i, n):
+        rows = real(sources, targets, i, n)
+        for row in rows:  # the first entry of every nonempty row changes sign
+            for c in row:
+                row[c] = -row[c]
+                break
+        return rows
 
-    with patch.object(cartan, "_boundary_terms", one_sign_flipped):
+    with patch.object(cartan, "_boundary_matrix", one_sign_flipped):
         witnesses = list(_boundary_squared_failures(I, 3))
-    assert [w["case"] for w in witnesses] == ["boundary squared"]
+    assert [(w["case"], w["element"]) for w in witnesses] == [("boundary squared", element)]
+
+
+def test_boundary_squared_walk_composes_every_basis_element():
+    # 88651 = the chain space elements at levels 2..DD_I_MAX over the 189 proper
+    # ideals with n <= 4: the walk iterates each one's row once, to compose it
+    real = cartan._boundary_matrix
+    composed = Counter()
+
+    class Rows(list):  # counts, by level, the rows the walk iterates
+        def __iter__(self):
+            for row in list.__iter__(self):
+                composed[self.level] += 1
+                yield row
+
+    def counting(sources, targets, i, n):
+        rows = Rows(real(sources, targets, i, n))
+        rows.level = i
+        return rows
+
+    proper = [I for n in range(1, 5) for I in enumerate_proper_ideals(n)]
+    with patch.object(cartan, "_boundary_matrix", counting):
+        assert not [w for I in proper for w in _boundary_squared_failures(I, DD_I_MAX)]
+    elements = Counter()
+    for I in proper:
+        for i in range(2, DD_I_MAX + 1):
+            elements[i] += sum(len(chain_space(I, i, j)) for j in range(I.n + i + 1))
+    assert len(proper) == 189 and DD_I_MAX == 4
+    assert composed == elements and sum(composed.values()) == 88651
 
 
 # --- ranks -----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``import excolex`` loads no submodule; each name resolves on first use to the
 object its submodule defines. Each CLI command imports only the modules it
-runs, and no module imports ``dataclasses``. The import checks run fresh
+runs, no module imports ``dataclasses``, and ``enumerate`` loads neither
+``typing`` nor ``random``. The import checks run fresh
 interpreters (``-S``, ``PYTHONPATH`` set to this checkout's ``src``) and read
 the modules they load from ``-X importtime``.
 """
@@ -96,6 +97,13 @@ def test_enumerate_loads_only_what_it_runs():
         "excolex", "excolex.errors", "excolex.monomials", "excolex.ideals", "excolex.enumeration",
     }
     assert "dataclasses" not in loaded
+
+
+def test_enumerate_probe_loads_neither_typing_nor_random():
+    # the bench's enumerate probe; under -S no site module loads them first
+    loaded = loaded_modules("-m", "excolex.cli", "enumerate", "--n", "5", "--ideals")
+    assert "excolex.enumeration" in loaded
+    assert not loaded & {"typing", "random"}
 
 
 def test_verify_command_never_imports_dataclasses():
