@@ -20,7 +20,7 @@ _EXPORTS = {
         "stable_betti_table",
         "tables_agree",
     ),
-    "cartan": ("CartanTables", "cartan_betti", "chain_space", "exact_rank", "rank_mod_p"),
+    "cartan": ("CartanTables", "cartan_betti", "exact_rank", "rank_mod_p"),
     "colex": (
         "RevlexConditionReport",
         "colex_ideal",
@@ -39,6 +39,7 @@ _EXPORTS = {
     ),
     "errors": (
         "AmbientCapExceeded",
+        "CampaignTooLarge",
         "ConstructionTooLarge",
         "ContractViolation",
         "DegreeTooHigh",
@@ -65,9 +66,7 @@ _EXPORTS = {
         "common_degree",
         "is_stable",
         "is_strongly_stable",
-        "partial_shadow",
         "revlex_segment",
-        "shadow",
     ),
     "verify": (
         "CLAIMS",

@@ -47,22 +47,6 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return [(a,) + rest for a in range(total + 1) for rest in _compositions(total - a, parts - 1)]
 
 
-def chain_space(I: MonomialIdeal, i: int, j: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Ordered basis at homological degree i, internal degree j.
-
-    Pairs (mask of a monomial outside the ideal of degree j-i, multi-index
-    summing to i), ordered by revlex on the monomial then lex on the multi-index.
-    """
-    if i < 0 or j < 0:
-        raise ContractViolation(f"degrees must be nonnegative, got ({i}, {j})")
-    d = j - i
-    if d < 0 or d > I.n:
-        return []
-    survivors = [m for m, inside in scan_component(I.masks, I.n, d) if not inside]
-    powers = _compositions(i, I.n) if survivors else []
-    return [(s, a) for s in survivors for a in powers]
-
-
 @lru_cache(maxsize=16)  # few (level, n) pairs recur; the direct guard bounds each table
 def _multi_indices(i: int, n: int) -> tuple[tuple, tuple]:
     """The level-i multi-indices over n variables in lex order, and for each its
@@ -76,9 +60,10 @@ def _multi_indices(i: int, n: int) -> tuple[tuple, tuple]:
 
 
 def _boundary_matrix(sources: Sequence[int], targets: Sequence[int], i: int, n: int) -> list[dict]:
-    """The boundary from level i to i - 1 on one degree cell, as {column: sign} rows
-    over ``chain_space``'s bases; ``sources`` and ``targets`` are the ascending
-    surviving masks of degrees d and d + 1. A term e_k s that is no survivor (k
+    """The boundary from level i to i - 1 on one degree cell, as {column: sign} rows;
+    ``sources`` and ``targets`` are the ascending surviving masks of degrees d
+    and d + 1, and a basis lists (survivor, multi-index) pairs by survivor, then
+    by the multi-index in lex order. A term e_k s that is no survivor (k
     divides s, or the product is in the ideal) vanishes."""
     lowered, rows = _multi_indices(i, n)[1], []
     width = comb(n + i - 2, i - 1)  # the number of level-(i - 1) multi-indices
@@ -157,16 +142,18 @@ class CartanTables(NamedTuple):
     ideal: BettiTable
 
 
-def _guard_dimensions(I: MonomialIdeal, i_max: int, cap: int) -> None:
-    survivors: list[int] = []  # by degree, counted on first need: a refusal stops early
+def _guard_dimensions(I: MonomialIdeal, i_max: int, cap: int) -> list[list[int]]:
+    """The surviving masks of each degree 0..n, once every chain space is within ``cap``."""
+    survivors: list[list[int]] = []  # by degree, scanned on first need: a refusal stops early
     for i in range(i_max + 2):
         blocks = comb(I.n + i - 1, i)
         for d in range(min(I.n, I.n + i_max - i) + 1):  # j = i + d up to n + i_max
             if d == len(survivors):  # row i = 0 reaches every degree, in order
-                survivors.append(sum(not inside for _, inside in scan_component(I.masks, I.n, d)))
-            dim = survivors[d] * blocks
+                survivors.append([m for m, inside in scan_component(I.masks, I.n, d) if not inside])
+            dim = len(survivors[d]) * blocks
             if dim > cap:
                 raise OracleTooLarge(f"chain space dimension at (i={i}, j={i + d})", dim, cap)
+    return survivors
 
 
 def _homology(dims: list[int], ranks: list[int]) -> dict[int, int]:
@@ -244,10 +231,9 @@ def _betti_by_strands(
     return {k: v for k, v in entries.items() if v}
 
 
-def _betti_direct(I: MonomialIdeal, i_max: int, rank_fn) -> dict[tuple[int, int], int]:
+def _betti_direct(I: MonomialIdeal, i_max: int, rank_fn, cap: int) -> dict[tuple[int, int], int]:
     n, entries = I.n, {}
-    survivors = [[m for m, inside in scan_component(I.masks, n, d) if not inside]
-                 for d in range(n + 1)]
+    survivors = _guard_dimensions(I, i_max, cap)
     for j in range(n + i_max + 1):  # the differential keeps the internal degree
         # level i: the survivors of degree j - i times the level-i multi-indices
         cells = [survivors[j - i] if 0 <= j - i <= n else [] for i in range(i_max + 2)]
@@ -287,8 +273,7 @@ def cartan_betti(
     if method == "strands":
         q_entries = _betti_by_strands(I, i_max, rank_fn, max_cell_dim)
     elif method == "direct":
-        _guard_dimensions(I, i_max, max_cell_dim)
-        q_entries = _betti_direct(I, i_max, rank_fn)
+        q_entries = _betti_direct(I, i_max, rank_fn, max_cell_dim)
     else:
         raise ContractViolation(f"unknown oracle method {method!r}")
     quotient = BettiTable(SUBJECT_QUOTIENT, i_max, q_entries)

@@ -16,6 +16,7 @@ import sys
 
 from .errors import (
     AmbientCapExceeded,
+    CampaignTooLarge,
     ConstructionTooLarge,
     ContractViolation,
     OracleTooLarge,
@@ -234,7 +235,8 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AmbientCapExceeded, ConstructionTooLarge, OracleTooLarge, TableTooLarge) as exc:
+    except (AmbientCapExceeded, CampaignTooLarge, ConstructionTooLarge, OracleTooLarge,
+            TableTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -8,6 +8,12 @@ exactly once, with no post-filtering. The scan keeps its decisions on an
 explicit stack rather than recursing, so the number of candidate monomials is
 not bounded by the interpreter's recursion limit.
 
+One walk kernel serves every stream: elements carry a bit, a monomial and the
+bits of their predecessors, over one bitmap of what is chosen. Each degree
+pair's tables are built once per call: the upper degree's elements, and each
+lower-degree mask's multiples as a bitmap, so a set's members in the upper
+degree are the OR of its generators' rows.
+
 The same walk, with facets in place of the moves, streams every proper nonzero
 monomial ideal: the monomials outside such an ideal form a down-set of the
 subset order that contains 1 and is not everything. Where a universe is too
@@ -19,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
 
-from .ideals import MonomialIdeal, minimalize, scan_component
+from .ideals import MonomialIdeal, minimalize
 from .monomials import Monomial, borel_move_masks, iter_degree_masks
 
 
@@ -27,48 +33,46 @@ def _facet_masks(mask: int) -> tuple[int, ...]:
     return tuple([mask ^ (1 << k) for k in range(mask.bit_length()) if mask >> k & 1])
 
 
-def _down_sets(
-    elems: list[int], preds: Callable[[int], Iterable[int]],
-    given: set[int], cap: int | None,
-) -> Iterator[list[Monomial]]:
+def _elements(masks: list[int], preds: Callable[[int], Iterable[int]]) -> list[tuple]:
+    """(bit, monomial, needs) for each of ``masks`` in order: bit k for masks[k],
+    and needs the bits of ``preds(mask)``, which are listed before it."""
+    bit = {m: 1 << k for k, m in enumerate(masks)}
+    return [(bit[m], Monomial(m), sum(bit[r] for r in preds(m))) for m in masks]
+
+
+def _down_sets(elems: list[tuple], given: int, cap: int | None) -> Iterator[list[Monomial]]:
     """Every down-closed choice from ``elems``, exclude first.
 
-    ``elems`` lists each mask after its predecessors ``preds(mask)``, except
-    those in ``given``, which count as already chosen. Each
-    choice is yielded as the live stack of chosen monomials in ``elems`` order,
-    which the caller must copy before resuming. This is the depth-first order
-    of the binary walk that at each element first skips it and then, when its
-    predecessors are all in and fewer than ``cap`` elements are chosen, takes
-    it.
+    Each (bit, monomial, needs) element is listed after the elements whose
+    bits its needs hold, except those in ``given``: the one bitmap of what is
+    chosen starts at ``given``. Each choice is yielded as the live stack of
+    chosen monomials in ``elems`` order, which the caller must copy before
+    resuming. This is the depth-first order of the binary walk that at each
+    element first skips it and then, when its predecessors are all in and
+    fewer than ``cap`` elements are chosen, takes it.
     """
-    where = {m: i for i, m in enumerate(elems)}
-    # needs[i]: bit j set when elems[j] is a predecessor of elems[i] (so j < i)
-    needs = [
-        sum(1 << where[r] for r in preds(m) if r not in given)
-        for m in elems
-    ]
-    monos = [Monomial(m) for m in elems]
     cap = len(elems) if cap is None else cap
-    taken: list[int] = []  # positions chosen, ascending
+    backwards = list(enumerate(elems))[::-1]  # each scan starts at the last element
+    taken = [-1]  # positions chosen, ascending, above a sentinel
     chosen: list[Monomial] = []
-    bits = 0
+    bits = given
     while True:
         yield chosen
         # the deepest position whose take-branch is still open
-        i = len(elems) - 1
-        while i >= 0:
-            if taken and taken[-1] == i:
+        last = taken[-1]
+        for i, (bit, mono, needs) in backwards:
+            if i == last:
                 taken.pop()
                 chosen.pop()
-                bits ^= 1 << i
-            elif bits & needs[i] == needs[i] and len(taken) < cap:
+                bits ^= bit
+                last = taken[-1]
+            elif bits & needs == needs and len(chosen) < cap:
                 break
-            i -= 1
         else:
             return
         taken.append(i)
-        chosen.append(monos[i])
-        bits |= 1 << i
+        chosen.append(mono)
+        bits |= bit
 
 
 def enumerate_strongly_stable_sets(n: int, d: int) -> Iterator[tuple[Monomial, ...]]:
@@ -77,10 +81,30 @@ def enumerate_strongly_stable_sets(n: int, d: int) -> Iterator[tuple[Monomial, .
     Yields tuples sorted in decreasing revlex order; the stream order is
     deterministic.
     """
-    walk = _down_sets(list(iter_degree_masks(n, d)), borel_move_masks, set(), None)
+    walk = _down_sets(_elements(list(iter_degree_masks(n, d)), borel_move_masks), 0, None)
     next(walk)  # the empty set comes first
     for chosen in walk:
         yield tuple(chosen)
+
+
+def _two_degree_sets(n: int, max_extra: int | None) -> Iterator[tuple[tuple, list[Monomial]]]:
+    """(M, extra) for every two-degree ideal of ``enumerate_strongly_stable_ideals``,
+    in its order: M the degree-d1 generators, extra the degree-d2 ones, the
+    walk's live stack, which the caller must copy before resuming."""
+    for d1, d2 in combinations(range(1, n + 1), 2):
+        upper = _elements(list(iter_degree_masks(n, d2)), borel_move_masks)
+        # the bits of each degree-d1 mask's degree-d2 multiples
+        multiples = {
+            u: sum(bit for bit, v, _ in upper if u & v.mask == u) for u in iter_degree_masks(n, d1)
+        }
+        for mset in enumerate_strongly_stable_sets(n, d1):
+            members = 0
+            for u in mset:
+                members |= multiples[u.mask]
+            walk = _down_sets([e for e in upper if not e[0] & members], members, max_extra)
+            next(walk)  # adding nothing leaves d2 without generators
+            for extra in walk:
+                yield mset, extra
 
 
 def enumerate_strongly_stable_ideals(
@@ -104,24 +128,18 @@ def enumerate_strongly_stable_ideals(
             yield MonomialIdeal(n, mset)
     if max_degrees < 2:
         return
-    for d1, d2 in combinations(range(1, n + 1), 2):
-        for mset in enumerate_strongly_stable_sets(n, d1):
-            scan = list(scan_component([u.mask for u in mset], n, d2))
-            members = {m for m, inside in scan if inside}
-            outside = [m for m, inside in scan if not inside]
-            walk = _down_sets(outside, borel_move_masks, members, max_extra)
-            next(walk)  # adding nothing leaves d2 without generators
-            for extra in walk:
-                yield MonomialIdeal(n, [*mset, *extra])
+    for mset, extra in _two_degree_sets(n, max_extra):
+        yield MonomialIdeal(n, [*mset, *extra])
 
 
 def enumerate_proper_ideals(n: int) -> Iterator[MonomialIdeal]:
     """Every proper nonzero monomial ideal over e_1..e_n, once each, in a fixed order."""
-    elems = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
-    for outside in _down_sets(elems, _facet_masks, {0}, None):
+    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))  # the unit first
+    elems = _elements(masks, _facet_masks)[1:]
+    for outside in _down_sets(elems, 1, None):  # the unit is always outside
         if len(outside) < len(elems):
             skip = {u.mask for u in outside}
-            yield minimalize(n, [Monomial(m) for m in elems if m not in skip])
+            yield minimalize(n, [u for _, u, _ in elems if u.mask not in skip])
 
 
 def seeded_proper_ideals(n: int, count: int) -> list[MonomialIdeal]:

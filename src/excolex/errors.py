@@ -60,6 +60,10 @@ class AmbientCapExceeded(RuntimeError):
         super().__init__(f"construction still incomplete at ambient size {cap} (cap {cap})")
 
 
+class CampaignTooLarge(RuntimeError):
+    """A campaign's ``n_max`` passes its claim's ceiling."""
+
+
 class ConstructionTooLarge(RuntimeError):
     """The construction's greedy scan passed its mask budget."""
 

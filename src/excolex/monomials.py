@@ -143,34 +143,9 @@ def revlex_segment(n: int, d: int, length: int) -> list[Monomial]:
     return [Monomial(mask) for mask in islice(iter_degree_masks(n, d), length)]
 
 
-def shadow(monos: Iterable[Monomial], n: int) -> set[Monomial]:
-    """All products of members with one new variable index <= n, supports only.
-
-    Signs are irrelevant at support level; duplicates collapse. The top degree
-    d = n shadows to the empty set.
-    """
-    return partial_shadow(monos, n, n)
-
-
-def partial_shadow(monos: Iterable[Monomial], top: int, n: int) -> set[Monomial]:
-    """Products e_j * u for u in the set and 1 <= j <= top, supports only.
-
-    Empty when every index 1..top already divides every member. Coincides with
-    ``shadow`` at top = n.
-    """
-    monos = list(monos)
-    require_ambient(monos, n)
-    if not 1 <= top <= n:
-        raise ContractViolation(f"multiplier bound {top} outside 1..{n}")
-    common_degree(monos)
-    return set(map(Monomial, shadow_masks(map(_mask, monos), (1 << top) - 1)))
-
-
 def shadow_masks(masks: Iterable[int], window: int) -> set[int]:
-    """``m | bit`` for every mask m and every bit of ``window`` outside m.
-
-    The mask form of ``partial_shadow``, with no contract checks.
-    """
+    """``m | bit`` for every mask m and every bit of ``window`` outside m: the
+    shadow of a set of supports by the window's variables, with no contract checks."""
     out = set()
     for m in masks:
         free = window & ~m

@@ -41,13 +41,14 @@ from .colex import (
     segment_shadow_conditions,
 )
 from .enumeration import (
+    _two_degree_sets,
     enumerate_proper_ideals,
     enumerate_strongly_stable_ideals,
     enumerate_strongly_stable_sets,
     seeded_proper_ideals,
 )
-from .errors import ContractViolation, HypothesisViolated, clipped_repr
-from .ideals import MonomialIdeal, degree_profile, minimalize, scan_component
+from .errors import CampaignTooLarge, ContractViolation, HypothesisViolated, clipped_repr
+from .ideals import DegreeProfile, MonomialIdeal, degree_profile, minimalize, scan_component
 from .monomials import Monomial, revlex_segment, shadow_masks
 
 
@@ -107,7 +108,8 @@ def _run(claim: str, universe: dict, *parts: tuple[Iterable, Callable]) -> Verif
 
 def _per_profile(fn: Callable[[MonomialIdeal], object]) -> Callable:
     """``fn`` evaluated once per (I.n, degree_profile(I)), for values derived
-    from the colexsegment construction, which depends on nothing else.
+    from the colexsegment construction, which depends on nothing else. A
+    caller that knows the profile passes it.
 
     The memo lives as long as the returned function, so each campaign call
     starts with an empty one. The campaigns meet their ideals by ascending n,
@@ -117,12 +119,12 @@ def _per_profile(fn: Callable[[MonomialIdeal], object]) -> Callable:
     memo: dict = {}
     ambient = None
 
-    def by_profile(I: MonomialIdeal):
+    def by_profile(I: MonomialIdeal, profile: DegreeProfile | None = None):
         nonlocal ambient
         if I.n != ambient:
             memo.clear()
             ambient = I.n
-        profile = degree_profile(I)
+        profile = degree_profile(I) if profile is None else profile
         if profile not in memo:
             memo[profile] = fn(I)
         return memo[profile]
@@ -427,11 +429,13 @@ def verify_revlex_characterizations(
     verdict = _per_profile(two_degree_verdict)
 
     def two_degree_ideals():
+        # a single-degree profile is outside the hypotheses: walk two degrees only
         for n in range(5, ideal_n_max + 1):
             max_extra = MAX_EXTRA_AT_TOP if n == ideal_n_max else None
-            for I in enumerate_strongly_stable_ideals(n, max_extra=max_extra):
-                consistent = verdict(I)
-                if consistent is not None:
+            for mset, extra in _two_degree_sets(n, max_extra):
+                I = MonomialIdeal(n, [*mset, *extra])
+                profile = ((mset[0].degree, len(mset)), (extra[0].degree, len(extra)))
+                if (consistent := verdict(I, profile)) is not None:
                     yield I, consistent
 
     def check_two_degrees(item: tuple[MonomialIdeal, bool]):
@@ -535,20 +539,24 @@ def verify_oracle_agreement(n_max: int = 5, i_max: int = 4) -> VerificationRepor
     return report
 
 
-# claim -> (campaign, its keywords from the bounds n and i). A keyword whose
-# bound is None is not passed, so every default lives in one signature; bounds
-# arrive checked (n >= 1), so ``n and min(n, cap)`` is None exactly when n is.
-_CAMPAIGNS: dict[str, tuple[Callable[..., VerificationReport], Callable[..., dict]]] = {
-    "green": (verify_green, lambda n, i: {"n_max": n}),
-    "colex-bound": (verify_colex_lower_bound, lambda n, i: {"n_max": n, "i_max": i}),
-    "prop42": (verify_shadow_counting, lambda n, i: {"n_max": n, "ideal_n_max": n and min(n, 5)}),
-    "lemma41": (verify_minimal_shadow_membership, lambda n, i: {"n_max": n}),
-    "example51": (verify_bound_tables, lambda n, i: {"i_max": i}),
+# claim -> (campaign, its keywords from the bounds n and i, its ceiling on n:
+# None when n is ignored). A keyword whose bound is None is not passed, so every
+# default lives in one signature; bounds arrive checked (n >= 1), so
+# ``n and min(n, cap)`` is None exactly when n is.
+_CAMPAIGNS: dict[str, tuple[Callable[..., VerificationReport], Callable[..., dict], int | None]] = {
+    "green": (verify_green, lambda n, i: {"n_max": n}, 9),
+    "colex-bound": (verify_colex_lower_bound, lambda n, i: {"n_max": n, "i_max": i}, 9),
+    "prop42": (
+        verify_shadow_counting, lambda n, i: {"n_max": n, "ideal_n_max": n and min(n, 5)}, 9,
+    ),
+    "lemma41": (verify_minimal_shadow_membership, lambda n, i: {"n_max": n}, 9),
+    "example51": (verify_bound_tables, lambda n, i: {"i_max": i}, None),
     "section6": (
         verify_revlex_characterizations,
         lambda n, i: {"segment_n_max": n, "ideal_n_max": n and min(n, 7)},
+        13,
     ),
-    "oracle-agreement": (verify_oracle_agreement, lambda n, i: {"n_max": n, "i_max": i}),
+    "oracle-agreement": (verify_oracle_agreement, lambda n, i: {"n_max": n, "i_max": i}, 9),
 }
 CLAIMS = tuple(_CAMPAIGNS)
 
@@ -561,10 +569,14 @@ def claim_name(claim: str) -> str:
 
 
 def run_claim(claim: str, n_max: int | None = None, i_max: int | None = None) -> VerificationReport:
-    """Run a named campaign; a bound left as None keeps the campaign's default."""
+    """Run a named campaign; a bound left as None keeps the campaign's default,
+    and an ``n_max`` above the claim's ceiling is refused before any work."""
     if (n_max is not None and n_max < 1) or (i_max is not None and i_max < 0):
         got = f"{clipped_repr(n_max)}, {clipped_repr(i_max)}"
         raise ContractViolation(f"need n_max >= 1 and i_max >= 0, got {got}")
-    campaign, keywords = _CAMPAIGNS[claim_name(claim)]
+    campaign, keywords, ceiling = _CAMPAIGNS[claim_name(claim)]
+    if n_max is not None and ceiling is not None and n_max > ceiling:
+        got = clipped_repr(n_max)
+        raise CampaignTooLarge(f"{claim} at n_max = {got} is above its ceiling {ceiling}")
     given = {k: v for k, v in keywords(n_max, i_max).items() if v is not None}
     return campaign(**given)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from excolex import cartan
 from excolex.betti import stable_betti_table, tables_agree
-from excolex.cartan import cartan_betti, chain_space, exact_rank, rank_mod_p
+from excolex.cartan import cartan_betti, exact_rank, rank_mod_p
 from excolex.enumeration import enumerate_proper_ideals
 from excolex.errors import ContractViolation, OracleTooLarge
 from excolex.ideals import minimalize, scan_component
@@ -26,6 +26,16 @@ def ideal(n, *texts):
 
 def survivors(I, d):
     return [m for m, inside in scan_component(I.masks, I.n, d) if not inside]
+
+
+def chain_space(I, i, j):
+    """The oracle's ordered basis at homological degree i, internal degree j:
+    pairs (mask of a monomial outside the ideal of degree j - i, multi-index
+    summing to i), by revlex on the monomial, then lex on the multi-index."""
+    d = j - i
+    if not 0 <= d <= I.n:
+        return []
+    return [(s, a) for s in survivors(I, d) for a in cartan._multi_indices(i, I.n)[0]]
 
 
 def cell_boundaries(I, i, j):
@@ -410,6 +420,21 @@ def test_guard_stops_at_the_first_cell_over_the_cap(n, i_max, cell, top_degree):
             cartan_betti(ideal(n, "e1e2", "e1e3", "e2e3"), i_max, method="direct")
     where, dim = cell
     assert where in refusal.value.measure and refusal.value.size == dim
+
+
+def test_direct_oracle_scans_each_degree_once():
+    # the guard's survivor lists are the ones the direct method eliminates over
+    real, scanned = cartan.scan_component, []
+
+    def spy(gen_masks, n, t):
+        scanned.append(t)
+        return real(gen_masks, n, t)
+
+    I = ideal(5, "e1e2", "e1e3", "e2e3", "e1e4e5")
+    with patch.object(cartan, "scan_component", spy):
+        tables = cartan_betti(I, 3, method="direct")
+    assert scanned == list(range(I.n + 1))
+    assert tables.ideal == stable_betti_table(I, 2)
 
 
 def test_guard_sizes_the_strands_not_the_direct_chain_spaces():

@@ -400,6 +400,18 @@ def test_closed_form_table_cap_is_resource_exit(capsys, ex_small, argv):
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+@pytest.mark.parametrize(
+    "claim, n_max", [("green", "99999999999999999999999"), ("section6", "40")],
+)
+def test_campaign_above_its_ceiling_is_resource_exit(capsys, claim, n_max):
+    with deadline(1.0):
+        code, out, err = run(capsys, "verify", "--claim", claim, "--n-max", n_max)
+    assert code == 3
+    assert not out and err.startswith("error: ") and err.count("\n") == 1
+    assert "ceiling" in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
 def test_oracle_strand_guard_is_resource_exit(capsys, tmp_path):
     # every chain space past degree 0 is empty, but the LCM lattice is all
     # 2^16 supports, 3^16 subsets for the strands to walk

@@ -36,7 +36,7 @@ from excolex.ideals import (
     is_strongly_stable_ideal,
     minimalize,
 )
-from excolex.monomials import Monomial, iter_degree_masks, revlex_segment, shadow
+from excolex.monomials import Monomial, iter_degree_masks, revlex_segment, shadow_masks
 
 M = Monomial.from_text
 
@@ -272,7 +272,8 @@ def test_segment_shadow_triple_equivalence(n):
             segment = revlex_segment(n, d, length)
             a, b, c = segment_shadow_conditions(segment, n)
             assert a == b == c
-            assert a == is_revlex_segment(shadow(segment, n), n)
+            shadow = shadow_masks([u.mask for u in segment], (1 << n) - 1)
+            assert a == is_revlex_segment(set(map(Monomial, shadow)), n)
 
 
 # --- two-degree report ----------------------------------------------------------
@@ -343,7 +344,8 @@ def two_degree_reference(I):
     dim_construction_d2 = len(graded_component(J, d2))
     c, holds_ii = 0, False
     if d2 == d1 + 1:
-        w = max(shadow(revlex_segment(n, d1, dim_d1), n), key=lambda u: u.mask)
+        segment = [u.mask for u in revlex_segment(n, d1, dim_d1)]
+        w = Monomial(max(shadow_masks(segment, (1 << n) - 1)))
         z = Monomial.from_indices(range(n - d1 - 1, n))
         c = sum(z.mask < m <= w.mask for m in iter_degree_masks(n, d2))
         holds_ii = dim_construction_d2 >= a_size + c

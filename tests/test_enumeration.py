@@ -4,11 +4,13 @@ Counts are cross-checked against power-set filters (sets) and an antichain
 walk over all proper monomial ideals (ideals) at small sizes, then frozen.
 """
 
+import hashlib
 import itertools
 
 import pytest
 
 from excolex.enumeration import (
+    _two_degree_sets,
     enumerate_proper_ideals,
     enumerate_strongly_stable_ideals,
     enumerate_strongly_stable_sets,
@@ -198,3 +200,76 @@ def test_walk_is_not_bounded_by_the_recursion_limit():
     first = list(itertools.islice(enumerate_strongly_stable_sets(13, 5), 3))
     assert len(first) == 3
     assert all(is_strongly_stable(set(s)) for s in first)
+
+
+# --- stream pins: SHA-256 over one repr(masks) line per yielded object -----------
+
+def stream_digest(stream):
+    h = hashlib.sha256()
+    for masks in stream:
+        h.update(repr(masks).encode() + b"\n")
+    return h.hexdigest()
+
+
+IDEAL_STREAM_PINS = {
+    1: "524930951df1c7fa0dcc92bcb5533de395a41c83ce80ab87d48f352262733127",
+    2: "a41285743c42652b724d0678ed20218c1a185aca95ae0b7b491fba48757afe2d",
+    3: "aa1ef61221c21a7af864e175bc23a86c68a27fd451cdb78aaeaf1405532b7b27",
+    4: "a6bd0b9c9a592ed4db25e5d2db19517f4a0fa1de228e3754265992dc0e647819",
+    5: "bd4f88556d8f860cf506694a8e2e18e8cd91e86b35eacf71f064f4583791779d",
+    6: "0ccd57b36930414523d33b49916b48667815b0e83ac4d67f2f8e39b16443bc33",
+}
+IDEAL_STREAM_PIN_7_MAX_EXTRA_2 = "416c4e681b337128e16db664a7b89a46bad67a8ee69690f56f24e70ff1727093"
+SET_STREAM_PINS_8 = {
+    1: "31018dcdff6ab916e7a6ca6222e956ad923eeaa15e88acf85ddc725c2bb01d23",
+    2: "c2cb4c00d59349450b43d4ed47a4e4a78b71b4200635734f46bc0a552ccbb9c5",
+    3: "471d4bccc26437ffa5c7853e3ee801d44bc937345b304d344677180b4323d59f",
+    4: "20cdd8ae5347ac0e3f492366a3e8f2fa976472de9e55cd2dc40c09d0dcad58be",
+    5: "d028aa90d8fa90b590ddc52b4e6062085f3374bd71528ec1133f2483ad7014cd",
+    6: "e8826e73b5f4ba05a44a9b00e65a13ca0b712bd09ec0d25c168d0dbaff6bdc36",
+    7: "73ae269cdd27b5d094fc76a5c60188ac9753265ef2392af2fbca21f9d54eb379",
+    8: "bf51957c3c8810937c07759bc7acf360f01e4aa7cc5d715dcffac4fd67c86a05",
+}
+PROPER_STREAM_PINS = {
+    1: "524930951df1c7fa0dcc92bcb5533de395a41c83ce80ab87d48f352262733127",
+    2: "e3ff197d4aa02f2e9036aa3dccca5349f252a49f5a78579d39748ed8d3b049c5",
+    3: "59aa4f1b7a230d9e600206358adf4bd57da3455c44a80a1c9d353bbe62af30cd",
+    4: "1d18015f1c0bec66870e28814f1f10956d0002b82d5858ce2e7f9349f73f1cfc",
+}
+
+
+@pytest.mark.parametrize("n", sorted(IDEAL_STREAM_PINS))
+def test_ideal_stream_is_pinned(n):
+    stream = (I.masks for I in enumerate_strongly_stable_ideals(n))
+    assert stream_digest(stream) == IDEAL_STREAM_PINS[n]
+
+
+def test_capped_ideal_stream_is_pinned():
+    stream = (I.masks for I in enumerate_strongly_stable_ideals(7, max_extra=2))
+    assert stream_digest(stream) == IDEAL_STREAM_PIN_7_MAX_EXTRA_2
+
+
+@pytest.mark.parametrize("d", sorted(SET_STREAM_PINS_8))
+def test_set_stream_is_pinned(d):
+    stream = (tuple(u.mask for u in mset) for mset in enumerate_strongly_stable_sets(8, d))
+    assert stream_digest(stream) == SET_STREAM_PINS_8[d]
+
+
+@pytest.mark.parametrize("n", sorted(PROPER_STREAM_PINS))
+def test_proper_ideal_stream_is_pinned(n):
+    stream = (I.masks for I in enumerate_proper_ideals(n))
+    assert stream_digest(stream) == PROPER_STREAM_PINS[n]
+
+
+@pytest.mark.parametrize("max_extra", [None, 2])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_two_degree_walk_is_the_streams_tail(n, max_extra):
+    stream = list(enumerate_strongly_stable_ideals(n, max_extra=max_extra))
+    pairs = [(mset, tuple(extra)) for mset, extra in _two_degree_sets(n, max_extra)]
+    singles = len(stream) - len(pairs)
+    assert all(len(degree_profile(I)) == 1 for I in stream[:singles])
+    for I, (mset, extra) in zip(stream[singles:], pairs, strict=True):
+        assert I == MonomialIdeal(n, [*mset, *extra])
+        # section6's memo key, read off the walk
+        key = ((mset[0].degree, len(mset)), (extra[0].degree, len(extra)))
+        assert key == degree_profile(I)

@@ -20,7 +20,7 @@ from excolex.ideals import (
     parse_monomial,
     scan_component,
 )
-from excolex.monomials import MAX_VARIABLES, Monomial, iter_degree_masks, shadow
+from excolex.monomials import MAX_VARIABLES, Monomial, iter_degree_masks, shadow_masks
 
 M = Monomial.from_text
 
@@ -99,6 +99,10 @@ def test_graded_component_multiples():
     I = ideal(4, "e1e2")
     assert graded_component(I, 3) == {M("e1e2e3"), M("e1e2e4")}
     assert graded_component(I, 1) == set()
+
+
+def shadow(monos, n):
+    return set(map(Monomial, shadow_masks([u.mask for u in monos], (1 << n) - 1)))
 
 
 def test_graded_component_shadow_plus_new_generators():

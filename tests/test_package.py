@@ -26,7 +26,7 @@ EXPORTS = {
         "BettiTable", "ComparisonVerdict", "compare_betti", "low_index_counts",
         "max_index_domination", "stable_betti_table", "tables_agree",
     ],
-    "cartan": ["CartanTables", "cartan_betti", "chain_space", "exact_rank", "rank_mod_p"],
+    "cartan": ["CartanTables", "cartan_betti", "exact_rank", "rank_mod_p"],
     "colex": [
         "RevlexConditionReport", "colex_ideal", "construction_dict", "greedy_generators",
         "is_revlex_ideal", "is_revlex_segment", "revlex_condition_single_degree",
@@ -37,8 +37,8 @@ EXPORTS = {
         "enumerate_strongly_stable_sets",
     ],
     "errors": [
-        "AmbientCapExceeded", "ConstructionTooLarge", "ContractViolation", "DegreeTooHigh",
-        "FormulaInapplicable", "HypothesisViolated", "InsufficientMonomials",
+        "AmbientCapExceeded", "CampaignTooLarge", "ConstructionTooLarge", "ContractViolation",
+        "DegreeTooHigh", "FormulaInapplicable", "HypothesisViolated", "InsufficientMonomials",
         "NotARevlexSegment", "OracleTooLarge", "ProfileMismatch", "TableTooLarge",
     ],
     "ideals": [
@@ -47,7 +47,7 @@ EXPORTS = {
     ],
     "monomials": [
         "Monomial", "borel_reductions", "common_degree", "is_stable", "is_strongly_stable",
-        "partial_shadow", "revlex_segment", "shadow",
+        "revlex_segment",
     ],
     "verify": [
         "CLAIMS", "VerificationReport", "run_claim", "verify_bound_tables",

@@ -8,7 +8,7 @@ from excolex import verify
 from excolex.betti import BettiTable, compare_betti, stable_betti_table
 from excolex.colex import colex_ideal, construction_dict
 from excolex.enumeration import enumerate_strongly_stable_ideals
-from excolex.errors import ContractViolation, HypothesisViolated
+from excolex.errors import CampaignTooLarge, ContractViolation, HypothesisViolated
 from excolex.ideals import MonomialIdeal, degree_profile, graded_component
 from excolex.monomials import Monomial
 from excolex.verify import (
@@ -158,8 +158,8 @@ def test_claim_table_maps_bounds_to_keywords(claim, monkeypatch):
         calls.append((args, kwargs))
         return VerificationReport(claim, {}, 0)
 
-    _, keywords = verify._CAMPAIGNS[claim]
-    monkeypatch.setitem(verify._CAMPAIGNS, claim, (recorder, keywords))
+    _, keywords, ceiling = verify._CAMPAIGNS[claim]
+    monkeypatch.setitem(verify._CAMPAIGNS, claim, (recorder, keywords, ceiling))
     run_claim(claim)
     run_claim(claim, n_max=7, i_max=3)
     run_claim(claim, n_max=9)
@@ -169,6 +169,29 @@ def test_claim_table_maps_bounds_to_keywords(claim, monkeypatch):
     # the ideal parts of prop42 and section6 stay capped at 5 and 7
     caps = {"prop42": 5, "section6": 7}
     assert calls[2][1].get("ideal_n_max") == caps.get(claim)
+
+
+# every claim that reads n admits n_max = 9: past each size the CI workflow
+# pins by report digest (section6 9, the others 6 to 8) and the next sizes to
+# pin (green 8, colex-bound 9)
+ADMITTED_N_MAX = 9
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_run_claim_refuses_a_size_above_the_ceiling_before_any_work(claim, monkeypatch):
+    _, keywords, ceiling = verify._CAMPAIGNS[claim]
+    if ceiling is None:  # only example51 ignores n
+        assert claim == "example51"
+        return
+
+    def forbidden(**kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setitem(verify._CAMPAIGNS, claim, (forbidden, keywords, ceiling))
+    assert ceiling >= ADMITTED_N_MAX
+    for n_max in (ceiling + 1, 10**22):
+        with pytest.raises(CampaignTooLarge, match=f"n_max = {n_max} is above its ceiling {ceiling}"):
+            run_claim(claim, n_max=n_max)
 
 
 @pytest.mark.parametrize(
