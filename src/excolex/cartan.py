@@ -16,18 +16,24 @@ prime field.
   a vertex of S lies in none of them, is a cone point (the empty face
   included) and makes the strand acyclic (Gasharov-Peeva-Welker 1999; in E,
   Aramova-Avramov-Herzog, Trans. AMS 2000). So one tiny elimination per union
-  of generators (the LCM lattice) covers every graded piece.
+  of generators (the LCM lattice) covers every graded piece. A strand's maps
+  are eliminated from the lowest level up, with clearing (Chen-Kerber,
+  "Persistent homology computation with a twist", 2011; Bauer-Kerber-
+  Reininghaus, "Clear and compress", 2014): when a reduced row r of one map
+  has least column t, the next map never builds row t. r is a coboundary, so
+  0 = d(r) = r_t d(t) + sum over t' > t of r_t' d(t'), and row t lies in the
+  span of the rows after it, over Q and GF(p) alike: no rank moves.
 * "direct": build one sparse +/-1 boundary matrix per (homological, internal)
   degree cell at once, from the surviving masks of its two monomial degrees
   and the tables of power multi-indices of its two levels, and eliminate it
-  whole. Slower, kept as the cross-check path.
+  whole, every row. Slower, kept as the cross-check path.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd, isqrt
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .betti import MAX_TABLE_CELLS, SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from .errors import ContractViolation, OracleTooLarge, TableTooLarge, clipped_repr
@@ -85,15 +91,16 @@ def _require_prime(p: int) -> None:
         raise ContractViolation(f"field size must be a prime below 2**31, got {clipped_repr(p)}")
 
 
-def _rank(rows: Iterable[list[int] | dict[int, int]], p: int | None) -> int:
-    """Rank over GF(p), or over the rationals when p is None, of dense integer
-    rows or {column: value} rows, by sparse elimination.
+def _pivots(rows: Iterable[list[int] | dict[int, int]], p: int | None) -> dict[int, dict]:
+    """The reduced rows, by leading column, of dense integer rows or {column:
+    value} rows eliminated over GF(p), or over the rationals when p is None;
+    their number is the rank.
 
-    Pivots are stored by leading column. A row whose leading column already
-    has a pivot q becomes a*r - b*q, or r - a*b*q when a = +/-1, where a and b
-    are the leading entries of q and r: no inverse is taken, and one loop
-    serves both fields. Over the rationals a row is divided by its content
-    after each step with a pivot other than +/-1, to keep the integers small.
+    A row whose leading column already has a pivot q becomes a*r - b*q, or
+    r - a*b*q when a = +/-1, where a and b are the leading entries of q and r:
+    no inverse is taken, and one loop serves both fields. Over the rationals a
+    row is divided by its content after each step with a pivot other than
+    +/-1, to keep the integers small.
     """
     pivots: dict[int, dict[int, int]] = {}
     minus_one = -1 if p is None else p - 1
@@ -123,18 +130,18 @@ def _rank(rows: Iterable[list[int] | dict[int, int]], p: int | None) -> int:
                 content = gcd(*r.values())  # 0 for an empty row, left as it is
                 if content != 1:
                     r = {c: v // content for c, v in r.items()}
-    return len(pivots)
+    return pivots
 
 
 def exact_rank(rows: Iterable) -> int:
     """Rank over the rationals of an integer matrix."""
-    return _rank(rows, None)
+    return len(_pivots(rows, None))
 
 
 def rank_mod_p(rows: Iterable, p: int = DEFAULT_PRIME) -> int:
     """Rank over the field with p elements; p must be a prime below 2**31."""
     _require_prime(p)
-    return _rank(rows, p)
+    return len(_pivots(rows, p))
 
 
 class CartanTables(NamedTuple):
@@ -163,30 +170,33 @@ def _homology(dims: list[int], ranks: list[int]) -> dict[int, int]:
     return {k: h for k, h in homology.items() if h}
 
 
-def _strand_homology(
-    gen_masks: Sequence[int], support: int, rank_fn: Callable[[list[dict]], int]
-) -> dict[int, int]:
-    """Homology dimensions, by subset size, of the non-ideal subsets of one support.
+def _strand_homology(gen_masks: Sequence[int], support: int, p: int | None) -> dict[int, int]:
+    """Homology dimensions, by subset size, of the non-ideal subsets of one support,
+    over GF(p), or over the rationals when p is None.
 
     The boundary raises subset size by one and carries the insertion sign; the
-    result depends only on the support, not on the multidegree above it.
+    result depends only on the support, not on the multidegree above it. The
+    maps are eliminated from the lowest level up, and each one skips the rows
+    that the previous map's pivots clear (see the module docstring).
     """
+    inside = [g for g in gen_masks if g & support == g]  # no other divides a subset
     levels: list[list[int]] = [[] for _ in range(support.bit_count() + 1)]
     sub = 0
     while True:  # the subsets of the support in ascending order
-        if not any(g & sub == g for g in gen_masks):
+        if not any(g & sub == g for g in inside):
             levels[sub.bit_count()].append(sub)
         if sub == support:
             break
         sub = (sub - support) & support
-    ranks = []
+    while not levels[-1]:  # the ideal is closed upward: empty levels come last
+        levels.pop()
+    ranks, cleared = [], {}  # cleared: the previous map's pivots, by leading column
     for src, dst in zip(levels, levels[1:]):
-        if not src or not dst:
-            ranks.append(0)
-            continue
         position = {mask: c for c, mask in enumerate(dst)}
-        rows = []  # one row per source subset: its boundary
-        for sigma in src:
+        rows = []  # one row per source subset not cleared: its boundary
+        for r, sigma in enumerate(src):
+            if r in cleared:
+                continue
             row = {}
             free = support & ~sigma
             while free:
@@ -196,12 +206,13 @@ def _strand_homology(
                 if c is not None:
                     row[c] = -1 if (sigma & (bit - 1)).bit_count() & 1 else 1
             rows.append(row)
-        ranks.append(rank_fn(rows))
+        cleared = _pivots(rows, p)
+        ranks.append(len(cleared))
     return _homology([len(level) for level in levels], ranks)
 
 
 def _betti_by_strands(
-    I: MonomialIdeal, i_max: int, rank_fn, cap: int
+    I: MonomialIdeal, i_max: int, p: int | None, cap: int
 ) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
     lattice = {0}  # the unions of generators: every other strand is a cone
@@ -213,7 +224,7 @@ def _betti_by_strands(
             raise OracleTooLarge("strand boundary entries over the LCM lattice", work, cap)
         lattice |= grown
     for support in sorted(lattice):
-        homology = _strand_homology(I.masks, support, rank_fn)
+        homology = _strand_homology(I.masks, support, p)
         if not homology:
             continue
         s = support.bit_count()
@@ -269,10 +280,10 @@ def cartan_betti(
         raise TableTooLarge(table, i_max, MAX_TABLE_CELLS)
     if prime is not None:
         _require_prime(prime)
-    rank_fn = exact_rank if prime is None else (lambda rows: rank_mod_p(rows, prime))
     if method == "strands":
-        q_entries = _betti_by_strands(I, i_max, rank_fn, max_cell_dim)
+        q_entries = _betti_by_strands(I, i_max, prime, max_cell_dim)
     elif method == "direct":
+        rank_fn = exact_rank if prime is None else (lambda rows: rank_mod_p(rows, prime))
         q_entries = _betti_direct(I, i_max, rank_fn, max_cell_dim)
     else:
         raise ContractViolation(f"unknown oracle method {method!r}")

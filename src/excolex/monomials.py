@@ -66,6 +66,8 @@ class Monomial(namedtuple("Monomial", "mask")):
     @property
     def indices(self) -> tuple[int, ...]:
         out, mask = [], self.mask
+        if mask < 0:  # infinitely many set bits: the loop would never end
+            raise ContractViolation(f"negative monomial mask {clipped_repr(mask)}")
         while mask:  # one step per set bit
             low = mask & -mask
             out.append(low.bit_length())
@@ -86,7 +88,10 @@ class Monomial(namedtuple("Monomial", "mask")):
         return "".join(f"e{i}" for i in self.indices)
 
     def __repr__(self) -> str:  # compact in pytest output
-        return self.text()
+        try:
+            return self.text()
+        except ContractViolation:  # a negative mask has no text
+            return f"Monomial(mask={clipped_repr(self.mask)})"
 
 
 _mask = attrgetter("mask")

@@ -466,12 +466,11 @@ def test_oracle_requires_room_for_the_shift():
 
 def unpruned_quotient(I, i_max, prime):
     """The quotient table summed over all 2^n strands, cones included."""
-    rank_fn = exact_rank if prime is None else (lambda rows: rank_mod_p(rows, prime))
     gen_masks = [g.mask for g in I.gens]
     entries = Counter()
     for support in range(1 << I.n):
         s = support.bit_count()
-        for d, h in cartan._strand_homology(gen_masks, support, rank_fn).items():
+        for d, h in cartan._strand_homology(gen_masks, support, prime).items():
             for j in range(s, I.n + i_max + 1):
                 weight = comb(j - 1, s - 1) if s else int(j == 0)
                 if 0 <= j - d <= i_max:
@@ -499,9 +498,9 @@ def test_strands_visit_exactly_the_lcm_lattice(I):
     visited = []
     real = cartan._strand_homology
 
-    def spy(gen_masks, support, rank_fn):
+    def spy(gen_masks, support, p):
         visited.append(support)
-        return real(gen_masks, support, rank_fn)
+        return real(gen_masks, support, p)
 
     with patch.object(cartan, "_strand_homology", spy):
         cartan_betti(I, 2)
@@ -522,3 +521,111 @@ def test_strands_scale_with_the_lattice_not_with_2_to_the_n():
     I = ideal(20, "e1e2", "e1e3", "e2e3")  # 2^20 supports, 5 of them in the lattice
     tables = cartan_betti(I, 6, max_cell_dim=10**12)
     assert tables.ideal == stable_betti_table(I, 5)
+
+
+# --- clearing in the strands -------------------------------------------------------
+
+RP2 = ideal(6, "e1e2e3", "e1e2e5", "e1e3e4", "e1e4e6", "e1e5e6",
+            "e2e3e6", "e2e4e5", "e2e4e6", "e3e4e5", "e3e5e6")  # non-faces of the 6-vertex RP^2
+
+
+def lcm_lattice(gen_masks):
+    lattice = {0}
+    for g in gen_masks:
+        lattice |= {s | g for s in lattice}
+    return sorted(lattice)
+
+
+def strand_levels(gen_masks, support):
+    """The subsets of the support that contain no generator, ascending, by size."""
+    levels = [[] for _ in range(support.bit_count() + 1)]
+    for sub in range(support + 1):
+        if sub & support == sub and not any(g & sub == g for g in gen_masks):
+            levels[sub.bit_count()].append(sub)
+    return levels
+
+
+def reference_strand_homology(gen_masks, support, prime):
+    """The strand's homology with every row of every map ranked by the public kernels."""
+    levels = strand_levels(gen_masks, support)
+    ranks = []
+    for src, dst in zip(levels, levels[1:]):
+        rows = []  # dense, over the targets: column sigma + e_k holds the insertion sign
+        for sigma in src:
+            row = [0] * len(dst)
+            for k in range(support.bit_length()):
+                bit = 1 << k
+                if support & bit and not sigma & bit and sigma | bit in dst:
+                    row[dst.index(sigma | bit)] = (-1) ** (sigma & (bit - 1)).bit_count()
+            rows.append(row)
+        ranks.append(exact_rank(rows) if prime is None else rank_mod_p(rows, prime))
+    bordering = [0, *ranks, 0]
+    homology = {k: len(level) - bordering[k] - bordering[k + 1] for k, level in enumerate(levels)}
+    return {k: h for k, h in homology.items() if h}
+
+
+@given(small_ideals(), st.sampled_from([None, 2, 3]))
+@settings(max_examples=150, deadline=None)
+def test_cleared_strands_match_full_elimination(I, prime):
+    for support in lcm_lattice(I.masks):
+        expected = reference_strand_homology(I.masks, support, prime)
+        assert cartan._strand_homology(I.masks, support, prime) == expected, bin(support)
+
+
+@given(small_ideals(), st.sampled_from([None, 2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_each_map_skips_the_rows_the_previous_pivots_clear(I, prime):
+    real, calls = cartan._pivots, []
+
+    def spy(rows, p):
+        pivots = real(rows, p)
+        calls.append((len(rows), len(pivots)))
+        return pivots
+
+    for support in lcm_lattice(I.masks):
+        calls.clear()
+        with patch.object(cartan, "_pivots", spy):
+            cartan._strand_homology(I.masks, support, prime)
+        dims = [len(level) for level in strand_levels(I.masks, support) if level]
+        # one call per map between nonempty levels; map k gets the rows of
+        # level k less the rank of map k - 1
+        assert len(calls) == len(dims) - 1
+        assert [n_rows for n_rows, _ in calls] == [
+            dim - (calls[k - 1][1] if k else 0) for k, dim in enumerate(dims[:-1])
+        ]
+
+
+def test_direct_method_eliminates_every_row():
+    real_matrix, real_pivots, built, eliminated = cartan._boundary_matrix, cartan._pivots, [], []
+
+    def matrix_spy(*args):
+        rows = real_matrix(*args)
+        built.append(len(rows))
+        return rows
+
+    def pivots_spy(rows, p):
+        eliminated.append(len(rows))
+        return real_pivots(rows, p)
+
+    with patch.object(cartan, "_boundary_matrix", matrix_spy), \
+            patch.object(cartan, "_pivots", pivots_spy):
+        cartan_betti(ideal(5, "e1e2", "e2e3e4", "e1e5"), 3, method="direct")
+    assert built and eliminated == built
+
+
+RP2_QUOTIENT = {(0, 0): 1, (1, 3): 10, (2, 4): 45, (3, 5): 126, (4, 6): 280, (5, 7): 540}
+RP2_QUOTIENT_GF2 = {
+    **RP2_QUOTIENT, (3, 6): 1, (4, 6): 281, (4, 7): 6, (5, 7): 546, (5, 8): 21,
+}
+
+
+@pytest.mark.parametrize(
+    "prime, expected", [(None, RP2_QUOTIENT), (3, RP2_QUOTIENT), (2, RP2_QUOTIENT_GF2)],
+    ids=["Q", "GF3", "GF2"],
+)
+def test_rp2_torsion_shows_over_gf2_only(prime, expected):
+    # the integral homology of RP^2 has 2-torsion: over GF(2) the quotient of
+    # its Stanley-Reisner ideal gains cells that Q and GF(3) lack
+    assert cartan_betti(RP2, 5, prime=prime).quotient.entries == expected
+    direct = cartan_betti(RP2, 4, method="direct", prime=prime)
+    assert direct == cartan_betti(RP2, 4, prime=prime)

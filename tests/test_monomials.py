@@ -96,6 +96,17 @@ def test_text_round_trip():
         M("x2")
 
 
+@pytest.mark.parametrize("mask", [-1, -3, -(1 << 70)])
+def test_negative_mask_has_no_indices_but_a_finite_repr(mask):
+    # a negative int has infinitely many set bits: the index loop must refuse it
+    u = Monomial(mask)
+    with pytest.raises(ContractViolation, match="negative monomial mask"):
+        u.indices
+    with pytest.raises(ContractViolation):
+        u.text()
+    assert repr(u) == f"Monomial(mask={mask})"
+
+
 def test_basic_statistics():
     u = M("e2e3e5")
     assert (u.degree, u.max_index) == (3, 5)
