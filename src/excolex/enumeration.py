@@ -90,7 +90,8 @@ def enumerate_strongly_stable_sets(n: int, d: int) -> Iterator[tuple[Monomial, .
 def _two_degree_sets(n: int, max_extra: int | None) -> Iterator[tuple[tuple, list[Monomial]]]:
     """(M, extra) for every two-degree ideal of ``enumerate_strongly_stable_ideals``,
     in its order: M the degree-d1 generators, extra the degree-d2 ones, the
-    walk's live stack, which the caller must copy before resuming."""
+    walk's live stack, which the caller must copy before resuming. ``max_extra``
+    caps the number of degree-d2 generators."""
     for d1, d2 in combinations(range(1, n + 1), 2):
         upper = _elements(list(iter_degree_masks(n, d2)), borel_move_masks)
         # the bits of each degree-d1 mask's degree-d2 multiples
@@ -107,11 +108,7 @@ def _two_degree_sets(n: int, max_extra: int | None) -> Iterator[tuple[tuple, lis
                 yield mset, extra
 
 
-def enumerate_strongly_stable_ideals(
-    n: int,
-    max_degrees: int = 2,
-    max_extra: int | None = None,
-) -> Iterator[MonomialIdeal]:
+def enumerate_strongly_stable_ideals(n: int, max_degrees: int = 2) -> Iterator[MonomialIdeal]:
     """Strongly stable ideals over e_1..e_n with at most two generator degrees.
 
     Single-degree ideals come first (each strongly stable set is its own
@@ -119,7 +116,7 @@ def enumerate_strongly_stable_ideals(
     stable degree-d1 set is extended by every strongly stable degree-d2
     superset of its multiples, the new monomials becoming the d2 generators.
     Distinct choices give distinct minimal generating sets, so the stream is
-    duplicate-free. ``max_extra`` caps the number of degree-d2 generators.
+    duplicate-free.
     """
     if max_degrees < 1:
         return
@@ -128,7 +125,7 @@ def enumerate_strongly_stable_ideals(
             yield MonomialIdeal(n, mset)
     if max_degrees < 2:
         return
-    for mset, extra in _two_degree_sets(n, max_extra):
+    for mset, extra in _two_degree_sets(n, None):
         yield MonomialIdeal(n, [*mset, *extra])
 
 

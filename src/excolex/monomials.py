@@ -25,11 +25,18 @@ from .errors import ContractViolation, InsufficientMonomials, clipped_repr
 # Masks stay machine-sized on purpose; 64 variables is far beyond desk scale.
 MAX_VARIABLES = 64
 
+_tuple_new = tuple.__new__
+
 
 class Monomial(namedtuple("Monomial", "mask")):
     """A squarefree monomial e_{i1}...e_{id}, as a bitmask of its indices."""
 
     __slots__ = ()
+
+    def __new__(cls, mask: int) -> "Monomial":
+        if mask < 0:  # infinitely many set bits: no degree, indices or text
+            raise ContractViolation(f"negative monomial mask {clipped_repr(mask)}")
+        return _tuple_new(cls, (mask,))
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "Monomial":

@@ -21,7 +21,6 @@ from .betti import (
     MODE_EQUAL,
     MODE_LOWER,
     MODE_UPPER,
-    BettiTable,
     _closed_form_table,
     _low_index_counts,
     compare_betti,
@@ -48,7 +47,7 @@ from .enumeration import (
     seeded_proper_ideals,
 )
 from .errors import CampaignTooLarge, ContractViolation, HypothesisViolated, clipped_repr
-from .ideals import DegreeProfile, MonomialIdeal, degree_profile, minimalize, scan_component
+from .ideals import MonomialIdeal, degree_profile, minimalize, scan_component
 from .monomials import Monomial, revlex_segment, shadow_masks
 
 
@@ -106,32 +105,6 @@ def _run(claim: str, universe: dict, *parts: tuple[Iterable, Callable]) -> Verif
     return report
 
 
-def _per_profile(fn: Callable[[MonomialIdeal], object]) -> Callable:
-    """``fn`` evaluated once per (I.n, degree_profile(I)), for values derived
-    from the colexsegment construction, which depends on nothing else. A
-    caller that knows the profile passes it.
-
-    The memo lives as long as the returned function, so each campaign call
-    starts with an empty one. The campaigns meet their ideals by ascending n,
-    so it holds the current n's entries only. Failure payloads are built
-    from the failing ideal, never from the memo.
-    """
-    memo: dict = {}
-    ambient = None
-
-    def by_profile(I: MonomialIdeal, profile: DegreeProfile | None = None):
-        nonlocal ambient
-        if I.n != ambient:
-            memo.clear()
-            ambient = I.n
-        profile = degree_profile(I) if profile is None else profile
-        if profile not in memo:
-            memo[profile] = fn(I)
-        return memo[profile]
-
-    return by_profile
-
-
 def _stable_ideals(n_max: int, **options) -> Iterator[MonomialIdeal]:
     """The strongly stable ideals of ``enumerate_strongly_stable_ideals``, n = 1..n_max."""
     for n in range(1, n_max + 1):
@@ -155,14 +128,16 @@ def verify_green(n_max: int = 5) -> VerificationReport:
     Both sides count from their generators, up to the construction's ambient.
     """
 
-    def construction_side(I: MonomialIdeal) -> tuple[int, dict]:
-        J = colex_ideal(I)
-        return J.n, low_index_counts(J, I.indeg, J.n)
-
-    construction = _per_profile(construction_side)
+    by_n: dict = {}  # n -> {profile: the construction's ambient and counts}
 
     def check(I: MonomialIdeal):
-        big, rhs_counts = construction(I)
+        if I.n not in by_n:  # the walk goes n by n: keep one n's entries
+            by_n.clear()
+        constructions = by_n.setdefault(I.n, {})
+        if (profile := degree_profile(I)) not in constructions:
+            J = colex_ideal(I)
+            constructions[profile] = J.n, low_index_counts(J, I.indeg, J.n)
+        big, rhs_counts = constructions[profile]
         for (t, p), lhs in _low_index_counts(I, I.indeg, big).items():  # I walked: stable
             if lhs > (rhs := rhs_counts[t, p]):
                 yield {
@@ -185,14 +160,16 @@ def verify_colex_lower_bound(n_max: int = 6, i_max: int = 8) -> VerificationRepo
     domination, which certifies the inequality for every homological degree.
     """
 
-    def construction_side(I: MonomialIdeal) -> tuple[MonomialIdeal, BettiTable]:
-        J = colex_ideal(I)
-        return J, stable_betti_table(J, i_max)
-
-    construction = _per_profile(construction_side)
+    by_n: dict = {}  # n -> {profile: the construction and its table}
 
     def check(I: MonomialIdeal):
-        J, table = construction(I)
+        if I.n not in by_n:  # the walk goes n by n: keep one n's entries
+            by_n.clear()
+        constructions = by_n.setdefault(I.n, {})
+        if (profile := degree_profile(I)) not in constructions:
+            J = colex_ideal(I)
+            constructions[profile] = J, stable_betti_table(J, i_max)
+        J, table = constructions[profile]
         own = _closed_form_table(I, i_max)  # I walked: stable
         verdict = compare_betti(I, J, i_max, table_i=own, table_j=table)
         if verdict.mode not in (MODE_LOWER, MODE_EQUAL) or not verdict.domination:
@@ -418,29 +395,28 @@ def verify_revlex_characterizations(
             yield {"case": "single degree", "n": n, "d": d, "count": count,
                    "predicted": predicted, "actual": actual}
 
-    def two_degree_verdict(I: MonomialIdeal) -> bool | None:
-        # decided by the construction alone (the input's dim_d2 does not enter);
-        # None for a profile outside the hypotheses
-        try:
-            return revlex_conditions_two_degrees(I).consistent
-        except HypothesisViolated:
-            return None
-
-    verdict = _per_profile(two_degree_verdict)
-
     def two_degree_ideals():
-        # a single-degree profile is outside the hypotheses: walk two degrees only
+        # a single-degree profile is outside the hypotheses: walk two degrees only.
+        # The verdict is decided by the construction alone (the input's dim_d2 does
+        # not enter), so each (n, profile) builds one ideal; None outside the hypotheses
         for n in range(5, ideal_n_max + 1):
+            verdicts: dict = {}
             max_extra = MAX_EXTRA_AT_TOP if n == ideal_n_max else None
             for mset, extra in _two_degree_sets(n, max_extra):
-                I = MonomialIdeal(n, [*mset, *extra])
                 profile = ((mset[0].degree, len(mset)), (extra[0].degree, len(extra)))
-                if (consistent := verdict(I, profile)) is not None:
-                    yield I, consistent
+                if profile not in verdicts:
+                    I = MonomialIdeal(n, [*mset, *extra])
+                    try:
+                        verdicts[profile] = revlex_conditions_two_degrees(I).consistent
+                    except HypothesisViolated:
+                        verdicts[profile] = None
+                if (consistent := verdicts[profile]) is not None:
+                    yield n, (*mset, *extra), consistent  # extra copied before the walk resumes
 
-    def check_two_degrees(item: tuple[MonomialIdeal, bool]):
-        I, consistent = item
+    def check_two_degrees(item: tuple[int, tuple[Monomial, ...], bool]):
+        n, gens, consistent = item
         if not consistent:
+            I = MonomialIdeal(n, gens)
             rep = revlex_conditions_two_degrees(I)
             yield {"case": "two degrees", "ideal": I.as_dict(), "report": rep.as_dict()}
 

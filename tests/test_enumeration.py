@@ -144,10 +144,12 @@ def test_two_degree_ideals_have_two_degrees():
 
 
 def test_max_extra_caps_new_generators():
-    for I in enumerate_strongly_stable_ideals(5, max_extra=1):
-        profile = degree_profile(I)
-        if len(profile) == 2:
-            assert profile[1][1] <= 1
+    walked = 0
+    for mset, extra in _two_degree_sets(5, 1):
+        profile = degree_profile(MonomialIdeal(5, [*mset, *extra]))
+        assert len(profile) == 2 and profile[1][1] == len(extra) == 1
+        walked += 1
+    assert walked
 
 
 def recursive_down_sets(n, d, base=(), max_extra=None):
@@ -190,9 +192,8 @@ def test_two_degree_stream_matches_recursive_walk(n, max_extra):
             base = graded_component(MonomialIdeal(n, mset), d2)
             for sup in recursive_down_sets(n, d2, base, max_extra)[1:]:
                 expected.append(MonomialIdeal(n, [*mset, *(u for u in sup if u not in base)]))
-    stream = list(enumerate_strongly_stable_ideals(n, max_extra=max_extra))
-    singles = sum(1 for d in range(1, n + 1) for _ in enumerate_strongly_stable_sets(n, d))
-    assert stream[singles:] == expected
+    walk = [MonomialIdeal(n, [*mset, *extra]) for mset, extra in _two_degree_sets(n, max_extra)]
+    assert walk == expected
 
 
 def test_walk_is_not_bounded_by_the_recursion_limit():
@@ -245,7 +246,10 @@ def test_ideal_stream_is_pinned(n):
 
 
 def test_capped_ideal_stream_is_pinned():
-    stream = (I.masks for I in enumerate_strongly_stable_ideals(7, max_extra=2))
+    # the single-degree ideals, then the walk's with at most two degree-d2 generators
+    singles = enumerate_strongly_stable_ideals(7, max_degrees=1)
+    capped = (MonomialIdeal(7, [*mset, *extra]) for mset, extra in _two_degree_sets(7, 2))
+    stream = (I.masks for I in itertools.chain(singles, capped))
     assert stream_digest(stream) == IDEAL_STREAM_PIN_7_MAX_EXTRA_2
 
 
@@ -264,11 +268,16 @@ def test_proper_ideal_stream_is_pinned(n):
 @pytest.mark.parametrize("max_extra", [None, 2])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_two_degree_walk_is_the_streams_tail(n, max_extra):
-    stream = list(enumerate_strongly_stable_ideals(n, max_extra=max_extra))
+    # a capped walk prunes the full one: the tail's ideals with few enough
+    # degree-d2 generators, in the same order
+    stream = list(enumerate_strongly_stable_ideals(n))
     pairs = [(mset, tuple(extra)) for mset, extra in _two_degree_sets(n, max_extra)]
-    singles = len(stream) - len(pairs)
+    singles = sum(len(degree_profile(I)) == 1 for I in stream)
     assert all(len(degree_profile(I)) == 1 for I in stream[:singles])
-    for I, (mset, extra) in zip(stream[singles:], pairs, strict=True):
+    tail = [
+        I for I in stream[singles:] if max_extra is None or degree_profile(I)[1][1] <= max_extra
+    ]
+    for I, (mset, extra) in zip(tail, pairs, strict=True):
         assert I == MonomialIdeal(n, [*mset, *extra])
         # section6's memo key, read off the walk
         key = ((mset[0].degree, len(mset)), (extra[0].degree, len(extra)))

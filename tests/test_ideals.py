@@ -387,20 +387,22 @@ def test_constructor_matches_its_reference(case, container):
 
 def test_constructor_refuses_negative_masks():
     # a negative mask has no text (its index walk never ends), so the message
-    # prints the mask itself, clipped
+    # prints the mask itself, clipped. Monomial refuses one when it is built;
+    # the ideal keeps its own check for a generator that bypasses Monomial's
     huge = -(1 << 400)
+    with pytest.raises(ContractViolation, match="negative monomial mask -2"):
+        Monomial(-2)
+    assert len(clipped_repr(huge)) <= 100
     cases = [
-        ([Monomial(-2)], "negative generator mask -2"),
-        ([Monomial(-1)], "negative generator mask -1"),
-        ([Monomial(0b11), Monomial(-8)], "negative generator mask -8"),
-        ([Monomial(-1), Monomial(0)], "the unit monomial generates an improper ideal"),
-        ([Monomial(huge)], f"negative generator mask {clipped_repr(huge)}"),
+        ([Monomial._make([-2])], "negative generator mask -2"),
+        ([Monomial(0b11), Monomial._make([-8])], "negative generator mask -8"),
+        ([Monomial._make([-1]), Monomial(0)], "the unit monomial generates an improper ideal"),
+        ([Monomial._make([huge])], f"negative generator mask {clipped_repr(huge)}"),
     ]
     for raw, message in cases:
         with pytest.raises(ContractViolation) as exc:
             MonomialIdeal(3, raw)
         assert str(exc.value) == message
-    assert len(clipped_repr(huge)) <= 100
 
 
 def test_an_int_past_the_digit_limit_shows_its_size():
@@ -411,7 +413,7 @@ def test_an_int_past_the_digit_limit_shows_its_size():
     assert clipped_repr([huge]) == "[<int of 16610 bits>]"
     cases = [
         (huge, [Monomial(1)], "ambient size out of range: <int of 16610 bits>"),
-        (3, [Monomial(-huge)], "negative generator mask <int of 16610 bits>"),
+        (3, [Monomial._make([-huge])], "negative generator mask <int of 16610 bits>"),
     ]
     for n, raw, message in cases:
         with pytest.raises(ContractViolation) as exc:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from excolex.errors import ContractViolation, InsufficientMonomials
+from excolex.errors import ContractViolation, InsufficientMonomials, clipped_repr
 from excolex.monomials import (
     MAX_VARIABLES,
     Monomial,
@@ -96,10 +96,23 @@ def test_text_round_trip():
         M("x2")
 
 
+@pytest.mark.parametrize(
+    "mask", [-1, -3, -(1 << 70), -(10**5000)], ids=["-1", "-3", "-2**70", "-10**5000"]
+)
+def test_constructor_refuses_a_negative_mask(mask):
+    # a negative int has infinitely many set bits: no degree, largest index or
+    # text; the message clips the mask (10**5000 is past the int-to-text limit)
+    with pytest.raises(ContractViolation) as exc:
+        Monomial(mask)
+    assert str(exc.value) == f"negative monomial mask {clipped_repr(mask)}"
+    assert len(str(exc.value)) < 100
+
+
 @pytest.mark.parametrize("mask", [-1, -3, -(1 << 70)])
 def test_negative_mask_has_no_indices_but_a_finite_repr(mask):
-    # a negative int has infinitely many set bits: the index loop must refuse it
-    u = Monomial(mask)
+    # a negative int has infinitely many set bits: the index loop must refuse
+    # one that bypasses the constructor's check
+    u = Monomial._make([mask])
     with pytest.raises(ContractViolation, match="negative monomial mask"):
         u.indices
     with pytest.raises(ContractViolation):

@@ -7,7 +7,7 @@ import pytest
 from excolex import verify
 from excolex.betti import BettiTable, compare_betti, stable_betti_table
 from excolex.colex import colex_ideal, construction_dict
-from excolex.enumeration import enumerate_strongly_stable_ideals
+from excolex.enumeration import _two_degree_sets
 from excolex.errors import CampaignTooLarge, ContractViolation, HypothesisViolated
 from excolex.ideals import MonomialIdeal, degree_profile, graded_component
 from excolex.monomials import Monomial
@@ -216,6 +216,37 @@ def test_each_call_builds_one_construction_per_profile(monkeypatch, campaign, ke
     assert second.as_dict() == first.as_dict()
 
 
+def test_section6_builds_one_ideal_per_profile(monkeypatch):
+    # the two-degree part walks 3482 sets at its defaults but builds and checks
+    # one ideal per (n, profile); with no failure, it builds nothing more
+    walked = sum(1 for n in (5, 6, 7) for _ in _two_degree_sets(n, 2 if n == 7 else None))
+    built, checked = [], []  # the (n, profile) of each two-degree ideal built, checked
+    real_build, real_check = verify.MonomialIdeal, verify.revlex_conditions_two_degrees
+
+    def build(n, gens):
+        I = real_build(n, gens)
+        if len(profile := degree_profile(I)) == 2:
+            built.append((n, profile))
+        return I
+
+    def check(I):
+        checked.append((I.n, degree_profile(I)))
+        return real_check(I)
+
+    monkeypatch.setattr(verify, "MonomialIdeal", build)
+    monkeypatch.setattr(verify, "revlex_conditions_two_degrees", check)
+    first = verify_revlex_characterizations()
+    keys = 686
+    assert walked == 3482
+    assert len(built) == len(set(built)) == keys
+    assert checked == built
+    # nothing carries over: a second call builds and checks every key again
+    second = verify_revlex_characterizations()
+    assert built[keys:] == built[:keys]
+    assert checked == built
+    assert second.as_dict() == first.as_dict()
+
+
 def _busiest_key(ideals):
     """The (n, profile) shared by the most ideals, and those ideals."""
     by_key: dict = {}
@@ -236,11 +267,11 @@ def test_section6_failure_stays_per_ideal(monkeypatch):
             return False
         return True
 
-    ideals = [
-        I for n in (5, 6)
-        for I in enumerate_strongly_stable_ideals(n, max_extra=2 if n == 6 else None)
-        if in_hypothesis(I)
-    ]
+    walked = (
+        MonomialIdeal(n, [*mset, *extra])
+        for n in (5, 6) for mset, extra in _two_degree_sets(n, 2 if n == 6 else None)
+    )
+    ideals = [I for I in walked if in_hypothesis(I)]
     key, hit = _busiest_key(ideals)
 
     def flipped(I):
@@ -334,18 +365,15 @@ def test_green_failure_stays_per_ideal(monkeypatch):
     cell = next(c for c in cells if len({listed(I, *c) for I in hit}) > 1)
     floor = min(listed(I, *cell) for I in hit) - 1
     assert floor < listed(J, *cell)
-    real = verify._per_profile
+    real = verify.low_index_counts
 
-    def dropping(construction_side):
-        def dropped(I):
-            big, counts = construction_side(I)
-            if (I.n, degree_profile(I)) == key:
-                counts = {**counts, cell: floor}
-            return big, counts
+    def dropping(X, t, big):
+        counts = real(X, t, big)
+        if X == J:
+            counts = {**counts, cell: floor}
+        return counts
 
-        return real(dropped)
-
-    monkeypatch.setattr(verify, "_per_profile", dropping)
+    monkeypatch.setattr(verify, "low_index_counts", dropping)
     report = verify_green(5)
     expected = [
         {
