@@ -11,33 +11,37 @@ that never divides: exact over the rationals by default, mod p for an opt-in
 prime field.
 
 * "strands" (the default): the chain spaces split by multidegree, and each
-  strand is isomorphic to the complex of subsets of the multidegree's support
-  S that avoid the ideal. Unless S is the union of the generators inside it,
-  a vertex of S lies in none of them, is a cone point (the empty face
-  included) and makes the strand acyclic (Gasharov-Peeva-Welker 1999; in E,
-  Aramova-Avramov-Herzog, Trans. AMS 2000). So one tiny elimination per union
-  of generators (the LCM lattice) covers every graded piece. A strand's maps
-  are eliminated from the lowest level up, with clearing (Chen-Kerber,
-  "Persistent homology computation with a twist", 2011; Bauer-Kerber-
-  Reininghaus, "Clear and compress", 2014): when a reduced row r of one map
-  has least column t, the next map never builds row t. r is a coboundary, so
-  0 = d(r) = r_t d(t) + sum over t' > t of r_t' d(t'), and row t lies in the
-  span of the rows after it, over Q and GF(p) alike: no rank moves.
+  strand is isomorphic to Delta_S, where Delta is the complex of subsets that
+  contain no generator and S the multidegree's support. Unless S is the union
+  of the generators inside it, a vertex of S lies in none of them, is a cone
+  point (the empty face included) and makes the strand acyclic
+  (Gasharov-Peeva-Welker 1999; in E, Aramova-Avramov-Herzog, Trans. AMS 2000).
+  So Delta is scanned once, over the generators' union, and each union of
+  generators (the LCM lattice) restricts it for one tiny elimination that
+  covers every graded piece. A strand's maps are eliminated from the lowest
+  level up, with clearing (Chen-Kerber, "Persistent homology computation with
+  a twist", 2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014): when
+  a reduced row r of one map has least column t, the next map never builds row
+  t. r is a coboundary, so 0 = d(r) = r_t d(t) + sum over t' > t of r_t'
+  d(t'), and row t lies in the span of the rows after it, over Q and GF(p)
+  alike: no rank moves.
 * "direct": build one sparse +/-1 boundary matrix per (homological, internal)
   degree cell at once, from the surviving masks of its two monomial degrees
   and the tables of power multi-indices of its two levels, and eliminate it
-  whole, every row. Slower, kept as the cross-check path.
+  whole, every row. Slower, kept as the cross-check path; the boundary-of-
+  boundary check composes the same matrices.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd, isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .betti import MAX_TABLE_CELLS, SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from .errors import ContractViolation, OracleTooLarge, TableTooLarge, clipped_repr
 from .ideals import MonomialIdeal, scan_component
+from .monomials import Monomial
 
 DEFAULT_PRIME = 32003
 # The default ``max_cell_dim``: it bounds the strands' boundary entries,
@@ -81,6 +85,27 @@ def _boundary_matrix(sources: Sequence[int], targets: Sequence[int], i: int, n: 
                 base[k], sign[k] = b, -1 if (s & ((1 << k) - 1)).bit_count() & 1 else 1
         rows.extend({base[k] + y: sign[k] for k, y in low if sign[k]} for low in lowered)
     return rows
+
+
+def _boundary_squared_failures(I: MonomialIdeal, i_max: int) -> Iterator[dict]:
+    """The first element of homological degree 2..i_max with d(d(elem)) != 0, if any,
+    composing the boundary matrices on int keys."""
+    n, survivors = I.n, _guard_dimensions(I, i_max, DEFAULT_CELL_CAP) + [[]]  # none of degree n + 1
+    rows = {(i, d): _boundary_matrix(survivors[d], survivors[d + 1], i, n)  # each cell once
+            for i in range(1, i_max + 1) for d in range(n + 1)}
+    for i in range(2, i_max + 1):
+        powers = _multi_indices(i, n)[0]
+        for d in range(n + 1):  # internal degree j = i + d, ascending
+            for x, row in enumerate(rows[i, d]):
+                acc: dict[int, int] = {}
+                for c, s1 in row.items():  # a term has degree d + 1 <= n
+                    for c2, s2 in rows[i - 1, d + 1][c].items():
+                        acc[c2] = acc.get(c2, 0) + s1 * s2
+                if any(acc.values()):
+                    mask, a = survivors[d][x // len(powers)], powers[x % len(powers)]
+                    element = [Monomial(mask).text(), list(a)]
+                    yield {"case": "boundary squared", "ideal": I.as_dict(), "element": element}
+                    return
 
 
 @lru_cache(maxsize=None, typed=True)  # a rejected p raises, so is never cached
@@ -170,41 +195,32 @@ def _homology(dims: list[int], ranks: list[int]) -> dict[int, int]:
     return {k: h for k, h in homology.items() if h}
 
 
-def _strand_homology(gen_masks: Sequence[int], support: int, p: int | None) -> dict[int, int]:
-    """Homology dimensions, by subset size, of the non-ideal subsets of one support,
-    over GF(p), or over the rationals when p is None.
+def _strand_homology(faces: list, outside: set, support: int, p: int | None) -> dict[int, int]:
+    """Homology dimensions, by subset size, of Delta_S for S = ``support``, over
+    GF(p), or over the rationals when p is None. ``faces`` lists Delta by size,
+    ascending, over a union that holds S, and ``outside`` holds the same masks.
 
-    The boundary raises subset size by one and carries the insertion sign; the
-    result depends only on the support, not on the multidegree above it. The
+    A row is keyed by its target's mask: within a level, mask order is column
+    order. The boundary raises subset size by one with the insertion sign; the
     maps are eliminated from the lowest level up, and each one skips the rows
     that the previous map's pivots clear (see the module docstring).
     """
-    inside = [g for g in gen_masks if g & support == g]  # no other divides a subset
-    levels: list[list[int]] = [[] for _ in range(support.bit_count() + 1)]
-    sub = 0
-    while True:  # the subsets of the support in ascending order
-        if not any(g & sub == g for g in inside):
-            levels[sub.bit_count()].append(sub)
-        if sub == support:
-            break
-        sub = (sub - support) & support
-    while not levels[-1]:  # the ideal is closed upward: empty levels come last
+    levels = [[f for f in level if f & support == f] for level in faces]
+    while not levels[-1]:  # Delta is closed downward: empty levels come last
         levels.pop()
     ranks, cleared = [], {}  # cleared: the previous map's pivots, by leading column
-    for src, dst in zip(levels, levels[1:]):
-        position = {mask: c for c, mask in enumerate(dst)}
+    for src in levels[:-1]:
         rows = []  # one row per source subset not cleared: its boundary
-        for r, sigma in enumerate(src):
-            if r in cleared:
+        for sigma in src:
+            if sigma in cleared:
                 continue
             row = {}
             free = support & ~sigma
             while free:
                 bit = free & -free
                 free ^= bit
-                c = position.get(sigma | bit)
-                if c is not None:
-                    row[c] = -1 if (sigma & (bit - 1)).bit_count() & 1 else 1
+                if sigma | bit in outside:
+                    row[sigma | bit] = -1 if (sigma & (bit - 1)).bit_count() & 1 else 1
             rows.append(row)
         cleared = _pivots(rows, p)
         ranks.append(len(cleared))
@@ -223,17 +239,24 @@ def _betti_by_strands(
         if work > cap:  # refused before the lattice passes the cap
             raise OracleTooLarge("strand boundary entries over the LCM lattice", work, cap)
         lattice |= grown
+    top = max(lattice)  # the generators' union: the guard counted 2^|top| <= 2 work
+    faces: list[list[int]] = [[] for _ in range(top.bit_count() + 1)]
+    sub = 0
+    while True:  # Delta, the subsets of top that hold no generator, ascending
+        if not any(g & sub == g for g in I.masks):
+            faces[sub.bit_count()].append(sub)
+        if sub == top:
+            break
+        sub = (sub - top) & top
+    outside = {f for level in faces for f in level}
     for support in sorted(lattice):
-        homology = _strand_homology(I.masks, support, p)
+        homology = _strand_homology(faces, outside, support, p)
         if not homology:
             continue
         s = support.bit_count()
-        if s == 0:
-            # only the zero multidegree sits over the empty support
-            entries[(0, 0)] = entries.get((0, 0), 0) + homology.get(0, 0)
-            continue
         for j in range(s, I.n + i_max + 1):
-            weight = comb(j - 1, s - 1)  # multidegrees with this support and size j
+            # multidegrees with this support and size j: only 0 over the empty one
+            weight = comb(j - 1, s - 1) if s else int(j == 0)
             for d, h in homology.items():
                 i = j - d
                 if 0 <= i <= i_max:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
 
+from .errors import ContractViolation, clipped_repr
 from .ideals import MonomialIdeal, minimalize
 from .monomials import Monomial, borel_move_masks, iter_degree_masks
 
@@ -116,14 +117,14 @@ def enumerate_strongly_stable_ideals(n: int, max_degrees: int = 2) -> Iterator[M
     stable degree-d1 set is extended by every strongly stable degree-d2
     superset of its multiples, the new monomials becoming the d2 generators.
     Distinct choices give distinct minimal generating sets, so the stream is
-    duplicate-free.
+    duplicate-free. ``max_degrees`` is 1 or 2.
     """
-    if max_degrees < 1:
-        return
+    if type(max_degrees) is not int or max_degrees not in (1, 2):
+        raise ContractViolation(f"max_degrees must be 1 or 2, got {clipped_repr(max_degrees)}")
     for d in range(1, n + 1):
         for mset in enumerate_strongly_stable_sets(n, d):
             yield MonomialIdeal(n, mset)
-    if max_degrees < 2:
+    if max_degrees == 1:
         return
     for mset, extra in _two_degree_sets(n, None):
         yield MonomialIdeal(n, [*mset, *extra])

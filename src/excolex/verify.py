@@ -28,8 +28,7 @@ from .betti import (
     stable_betti_table,
     tables_agree,
 )
-from . import cartan
-from .cartan import cartan_betti
+from .cartan import _boundary_squared_failures, cartan_betti
 from .colex import (
     DEFAULT_AMBIENT_CAP,
     colex_ideal,
@@ -433,29 +432,6 @@ def verify_revlex_characterizations(
         (_segment_sizes(ideal_n_max), check_single),
         (two_degree_ideals(), check_two_degrees),
     )
-
-
-def _boundary_squared_failures(I: MonomialIdeal, i_max: int) -> Iterator[dict]:
-    """The first element of homological degree 2..i_max with d(d(elem)) != 0, if any,
-    by the oracle's boundary matrices (looked up when called, so a test can swap them)."""
-    n, kernel = I.n, cartan._boundary_matrix
-    survivors = [[m for m, inside in scan_component(I.masks, n, d) if not inside]
-                 for d in range(n + 2)]  # none of degree n + 1
-    rows = {(i, d): kernel(survivors[d], survivors[d + 1], i, n)  # each cell once
-            for i in range(1, i_max + 1) for d in range(n + 1)}
-    for i in range(2, i_max + 1):
-        powers = cartan._multi_indices(i, n)[0]
-        for d in range(n + 1):  # internal degree j = i + d, ascending
-            for x, row in enumerate(rows[i, d]):
-                acc: dict[int, int] = {}
-                for c, s1 in row.items():  # a term has degree d + 1 <= n
-                    for c2, s2 in rows[i - 1, d + 1][c].items():
-                        acc[c2] = acc.get(c2, 0) + s1 * s2
-                if any(acc.values()):
-                    mask, a = survivors[d][x // len(powers)], powers[x % len(powers)]
-                    element = [Monomial(mask).text(), list(a)]
-                    yield {"case": "boundary squared", "ideal": I.as_dict(), "element": element}
-                    return
 
 
 def verify_oracle_agreement(n_max: int = 5, i_max: int = 4) -> VerificationReport:

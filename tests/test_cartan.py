@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from excolex import cartan
 from excolex.betti import stable_betti_table, tables_agree
-from excolex.cartan import cartan_betti, exact_rank, rank_mod_p
+from excolex.cartan import _boundary_squared_failures, cartan_betti, exact_rank, rank_mod_p
 from excolex.enumeration import enumerate_proper_ideals
 from excolex.errors import ContractViolation, OracleTooLarge
 from excolex.ideals import minimalize, scan_component
 from excolex.monomials import Monomial
-from excolex.verify import DD_I_MAX, _boundary_squared_failures
+from excolex.verify import DD_I_MAX
 
 M = Monomial.from_text
 
@@ -457,6 +457,17 @@ def test_strand_guard_refuses_before_any_strand():
     assert refusal.value.size > refusal.value.cap == cartan.DEFAULT_CELL_CAP
 
 
+def test_strand_guard_refuses_before_the_non_face_scan():
+    # four disjoint 10-variable generators: the lattice would hold 16 supports, and
+    # its top covers all 40 variables, so a scan before the guard would visit
+    # 2^40 subsets
+    blocks = [range(1 + 10 * b, 11 + 10 * b) for b in range(4)]
+    I = minimalize(40, [Monomial.from_indices(block) for block in blocks])
+    with pytest.raises(OracleTooLarge) as refusal:
+        cartan_betti(I, 2)
+    assert refusal.value.size > refusal.value.cap == cartan.DEFAULT_CELL_CAP
+
+
 def test_oracle_requires_room_for_the_shift():
     with pytest.raises(ContractViolation):
         cartan_betti(ideal(2, "e1e2"), 0)
@@ -466,11 +477,11 @@ def test_oracle_requires_room_for_the_shift():
 
 def unpruned_quotient(I, i_max, prime):
     """The quotient table summed over all 2^n strands, cones included."""
-    gen_masks = [g.mask for g in I.gens]
+    delta = non_face_complex([g.mask for g in I.gens], (1 << I.n) - 1)  # cones reach past top
     entries = Counter()
     for support in range(1 << I.n):
         s = support.bit_count()
-        for d, h in cartan._strand_homology(gen_masks, support, prime).items():
+        for d, h in cartan._strand_homology(*delta, support, prime).items():
             for j in range(s, I.n + i_max + 1):
                 weight = comb(j - 1, s - 1) if s else int(j == 0)
                 if 0 <= j - d <= i_max:
@@ -498,9 +509,9 @@ def test_strands_visit_exactly_the_lcm_lattice(I):
     visited = []
     real = cartan._strand_homology
 
-    def spy(gen_masks, support, p):
+    def spy(faces, outside, support, p):
         visited.append(support)
-        return real(gen_masks, support, p)
+        return real(faces, outside, support, p)
 
     with patch.object(cartan, "_strand_homology", spy):
         cartan_betti(I, 2)
@@ -545,6 +556,12 @@ def strand_levels(gen_masks, support):
     return levels
 
 
+def non_face_complex(gen_masks, top):
+    """Delta over top, as the strands take it: its faces by size, and their set."""
+    faces = strand_levels(gen_masks, top)
+    return faces, {f for level in faces for f in level}
+
+
 def reference_strand_homology(gen_masks, support, prime):
     """The strand's homology with every row of every map ranked by the public kernels."""
     levels = strand_levels(gen_masks, support)
@@ -567,9 +584,11 @@ def reference_strand_homology(gen_masks, support, prime):
 @given(small_ideals(), st.sampled_from([None, 2, 3]))
 @settings(max_examples=150, deadline=None)
 def test_cleared_strands_match_full_elimination(I, prime):
-    for support in lcm_lattice(I.masks):
+    lattice = lcm_lattice(I.masks)
+    delta = non_face_complex(I.masks, lattice[-1])
+    for support in lattice:
         expected = reference_strand_homology(I.masks, support, prime)
-        assert cartan._strand_homology(I.masks, support, prime) == expected, bin(support)
+        assert cartan._strand_homology(*delta, support, prime) == expected, bin(support)
 
 
 @given(small_ideals(), st.sampled_from([None, 2, 3]))
@@ -582,10 +601,12 @@ def test_each_map_skips_the_rows_the_previous_pivots_clear(I, prime):
         calls.append((len(rows), len(pivots)))
         return pivots
 
-    for support in lcm_lattice(I.masks):
+    lattice = lcm_lattice(I.masks)
+    delta = non_face_complex(I.masks, lattice[-1])
+    for support in lattice:
         calls.clear()
         with patch.object(cartan, "_pivots", spy):
-            cartan._strand_homology(I.masks, support, prime)
+            cartan._strand_homology(*delta, support, prime)
         dims = [len(level) for level in strand_levels(I.masks, support) if level]
         # one call per map between nonempty levels; map k gets the rows of
         # level k less the rank of map k - 1

@@ -15,6 +15,7 @@ from excolex.enumeration import (
     enumerate_strongly_stable_ideals,
     enumerate_strongly_stable_sets,
 )
+from excolex.errors import ContractViolation
 from excolex.ideals import (
     MonomialIdeal,
     degree_profile,
@@ -121,6 +122,15 @@ def test_ideal_counts_frozen():
     assert count(4) == 25
     assert count(5) == 109
     assert count(5, max_degrees=1) == 41
+
+
+@pytest.mark.parametrize("max_degrees", [0, -1, 3, 10**30, True, 2.0, "2"])
+def test_ideal_stream_refuses_a_degree_count_it_cannot_walk(max_degrees):
+    # the stream walks at most two degrees: 3 or more would silently yield
+    # only the ideals that 2 yields, and 0 or less would yield nothing
+    with pytest.raises(ContractViolation) as refusal:
+        next(enumerate_strongly_stable_ideals(4, max_degrees))
+    assert len(str(refusal.value)) < 160
 
 
 def test_every_yielded_ideal_is_strongly_stable():
