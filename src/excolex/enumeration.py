@@ -18,6 +18,14 @@ The same walk, with facets in place of the moves, streams every proper nonzero
 monomial ideal: the monomials outside such an ideal form a down-set of the
 subset order that contains 1 and is not everything. Where a universe is too
 large to walk, a seeded draw of proper ideals tops it up.
+
+The strongly stable ideals are built without the constructor's checks
+(``ideals._walked_ideal``): the walk takes each degree's masks ascending from
+``iter_degree_masks`` with d >= 1, so they are nonzero and below 1 << n; the
+lower degree comes first; and a degree-d2 element is offered only when no
+chosen degree-d1 generator divides it. So every set is sorted, minimal and in
+range, and only n is checked, once per stream. The proper-ideal walk still
+goes through ``minimalize``.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
 
 from .errors import ContractViolation, clipped_repr
-from .ideals import MonomialIdeal, minimalize
-from .monomials import Monomial, borel_move_masks, iter_degree_masks
+from .ideals import MonomialIdeal, _walked_ideal, minimalize
+from .monomials import Monomial, _require_ambient_size, borel_move_masks, iter_degree_masks
 
 
 def _facet_masks(mask: int) -> tuple[int, ...]:
@@ -80,8 +88,11 @@ def enumerate_strongly_stable_sets(n: int, d: int) -> Iterator[tuple[Monomial, .
     """Every nonempty strongly stable set of degree d over e_1..e_n, once each.
 
     Yields tuples sorted in decreasing revlex order; the stream order is
-    deterministic.
+    deterministic. A degree d above n yields nothing.
     """
+    _require_ambient_size(n)
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ContractViolation(f"degree must be an integer of at least 1, got {clipped_repr(d)}")
     walk = _down_sets(_elements(list(iter_degree_masks(n, d)), borel_move_masks), 0, None)
     next(walk)  # the empty set comes first
     for chosen in walk:
@@ -119,15 +130,16 @@ def enumerate_strongly_stable_ideals(n: int, max_degrees: int = 2) -> Iterator[M
     Distinct choices give distinct minimal generating sets, so the stream is
     duplicate-free. ``max_degrees`` is 1 or 2.
     """
+    _require_ambient_size(n)
     if type(max_degrees) is not int or max_degrees not in (1, 2):
         raise ContractViolation(f"max_degrees must be 1 or 2, got {clipped_repr(max_degrees)}")
     for d in range(1, n + 1):
         for mset in enumerate_strongly_stable_sets(n, d):
-            yield MonomialIdeal(n, mset)
+            yield _walked_ideal(n, mset)
     if max_degrees == 1:
         return
     for mset, extra in _two_degree_sets(n, None):
-        yield MonomialIdeal(n, [*mset, *extra])
+        yield _walked_ideal(n, (*mset, *extra))
 
 
 def enumerate_proper_ideals(n: int) -> Iterator[MonomialIdeal]:

@@ -117,9 +117,16 @@ def common_degree(monos: Iterable[Monomial]) -> int | None:
     return degrees.pop() if degrees else None
 
 
-def require_ambient(monos: Iterable[Monomial], n: int) -> None:
+def _require_ambient_size(n) -> None:
+    """Refuse an ambient size that is not an int (a bool is not one) in 1..MAX_VARIABLES."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ContractViolation(f"ambient size must be an integer, got {clipped_repr(n)}")
     if not 1 <= n <= MAX_VARIABLES:
-        raise ContractViolation(f"ambient size out of range: {n}")
+        raise ContractViolation(f"ambient size out of range: {clipped_repr(n)}")
+
+
+def require_ambient(monos: Iterable[Monomial], n: int) -> None:
+    _require_ambient_size(n)
     monos = list(monos)
     if monos and max(map(_mask, monos)).bit_length() > n:
         for u in monos:  # name the first one outside

@@ -6,6 +6,7 @@ walk over all proper monomial ideals (ideals) at small sizes, then frozen.
 
 import hashlib
 import itertools
+import pickle
 
 import pytest
 
@@ -131,6 +132,43 @@ def test_ideal_stream_refuses_a_degree_count_it_cannot_walk(max_degrees):
     with pytest.raises(ContractViolation) as refusal:
         next(enumerate_strongly_stable_ideals(4, max_degrees))
     assert len(str(refusal.value)) < 160
+
+
+@pytest.mark.parametrize("n", [0, -2, 65, 3.0, True, pytest.param(10**5000, id="10**5000")])
+def test_streams_refuse_an_ambient_size_outside_1_to_64(n):
+    # the ideal stream builds its ideals unchecked, so it checks n itself, at its head
+    for stream in (enumerate_strongly_stable_ideals(n), enumerate_strongly_stable_sets(n, 2)):
+        with pytest.raises(ContractViolation, match="^ambient size") as refusal:
+            next(stream)
+        assert len(str(refusal.value)) < 160
+
+
+@pytest.mark.parametrize("d", [0, -1, True, 2.0, "2"])
+def test_set_stream_refuses_a_degree_below_1(d):
+    # degree 0 would yield the unit, a generating set of the improper ideal
+    with pytest.raises(ContractViolation) as refusal:
+        next(enumerate_strongly_stable_sets(3, d))
+    assert len(str(refusal.value)) < 160
+
+
+def test_set_stream_above_the_ambient_is_empty():
+    assert list(enumerate_strongly_stable_sets(3, 4)) == []
+    assert list(enumerate_strongly_stable_sets(3, 10**5000)) == []
+
+
+@pytest.mark.parametrize("max_degrees", [1, 2])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_walked_ideals_equal_the_constructors(n, max_degrees):
+    # the stream skips the constructor's checks; each ideal must be the one
+    # the public constructor builds from its generators
+    for I in enumerate_strongly_stable_ideals(n, max_degrees):
+        J = MonomialIdeal(n, I.gens)
+        assert I == J and hash(I) == hash(J) and I.masks == J.masks
+        assert type(I.gens) is tuple and type(I.masks) is tuple
+        twin = pickle.loads(pickle.dumps(I))
+        assert twin == I and twin.masks == I.masks
+        with pytest.raises(AttributeError):
+            I.n = n
 
 
 def test_every_yielded_ideal_is_strongly_stable():

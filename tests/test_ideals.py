@@ -70,6 +70,17 @@ def test_constructor_validations():
         MonomialIdeal(4, (Monomial(0),))  # unit generator
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_constructor_refuses_an_ambient_size_that_is_not_an_int(n):
+    message = f"ambient size must be an integer, got {clipped_repr(n)}"
+    with pytest.raises(ContractViolation) as exc:
+        MonomialIdeal(n, (M("e1"),))
+    assert str(exc.value) == message
+    with pytest.raises(ContractViolation) as exc:
+        MonomialIdeal.from_dict({"n": n, "generators": [[1]]})
+    assert str(exc.value) == message
+
+
 def test_gens_sorted_by_degree_then_revlex():
     I = MonomialIdeal(5, (M("e2e3e4"), M("e1e4"), M("e1e2")))
     assert [u.text() for u in I.gens] == ["e1e2", "e1e4", "e2e3e4"]

@@ -418,6 +418,22 @@ def test_contract_helpers_match_their_references(case):
     event("outside" if expected is not None else "inside")
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (True, "ambient size must be an integer, got True"),
+        (2.0, "ambient size must be an integer, got 2.0"),
+        (10**5000, "ambient size out of range: <int of 16610 bits>"),
+    ],
+    ids=["bool", "float", "10**5000"],
+)
+def test_require_ambient_refuses_a_size_that_is_no_int_of_1_to_64(n, message):
+    # the one ambient-size check that the ideal constructor and the streams share
+    with pytest.raises(ContractViolation) as exc:
+        require_ambient([M("e1")], n)
+    assert str(exc.value) == message
+
+
 def test_contract_helpers_read_a_one_shot_iterator_once():
     monos = [M("e1e2"), M("e2e3"), M("e1e4")]
     assert common_degree(iter(monos)) == 2
