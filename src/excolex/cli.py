@@ -125,7 +125,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     from .enumeration import enumerate_strongly_stable_ideals, enumerate_strongly_stable_sets
-    from .ideals import MonomialIdeal
+    from .ideals import _derived_ideal
     from .monomials import MAX_VARIABLES
 
     if not 1 <= args.n <= MAX_VARIABLES:
@@ -134,9 +134,9 @@ def _cmd_enumerate(args) -> int:
         raise ContractViolation(f"--d must lie in 1..{args.n}, got {clipped_repr(args.d)}")
     if args.ideals:
         if args.d is not None:
-            # restrict to ideals generated exactly in degree d
+            # ideals generated in degree d alone: each walked set is sorted, minimal, in range
             for mset in enumerate_strongly_stable_sets(args.n, args.d):
-                print(json.dumps(MonomialIdeal(args.n, mset).as_dict()))
+                print(json.dumps(_derived_ideal(args.n, mset).as_dict()))
             return EXIT_OK
         for ideal in enumerate_strongly_stable_ideals(args.n):
             print(json.dumps(ideal.as_dict()))

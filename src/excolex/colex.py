@@ -25,7 +25,7 @@ from .errors import (
     NotARevlexSegment,
     clipped_repr,
 )
-from .ideals import DegreeProfile, MonomialIdeal, degree_profile, scan_component
+from .ideals import DegreeProfile, MonomialIdeal, _derived_ideal, degree_profile, scan_component
 from .monomials import (
     MAX_VARIABLES,
     Monomial,
@@ -78,7 +78,8 @@ def colex_ideal(I: MonomialIdeal, m_cap: int = DEFAULT_AMBIENT_CAP) -> MonomialI
     gens = greedy_generators(degree_profile(I), cap)
     if gens is None:
         raise AmbientCapExceeded(cap)
-    return MonomialIdeal(max(I.n, *(u.max_index for u in gens)), gens)
+    # picked by degree from 1 up, masks ascending, none a multiple of a pick; cap <= 64
+    return _derived_ideal(max(I.n, *(u.max_index for u in gens)), gens)
 
 
 def construction_dict(J: MonomialIdeal) -> dict:

@@ -19,13 +19,15 @@ monomial ideal: the monomials outside such an ideal form a down-set of the
 subset order that contains 1 and is not everything. Where a universe is too
 large to walk, a seeded draw of proper ideals tops it up.
 
-The strongly stable ideals are built without the constructor's checks
-(``ideals._walked_ideal``): the walk takes each degree's masks ascending from
+Both ideal streams build their ideals without the constructor's checks
+(``ideals._derived_ideal``), and each checks n once, at its head. The
+strongly stable walk takes each degree's masks ascending from
 ``iter_degree_masks`` with d >= 1, so they are nonzero and below 1 << n; the
 lower degree comes first; and a degree-d2 element is offered only when no
-chosen degree-d1 generator divides it. So every set is sorted, minimal and in
-range, and only n is checked, once per stream. The proper-ideal walk still
-goes through ``minimalize``.
+chosen degree-d1 generator divides it. The proper-ideal walk lists its
+elements in canonical order, and an ideal's minimal generators are the
+elements it contains whose facets all lie outside it, which is the walk's own
+test. So every set is sorted, minimal and in range.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
 
 from .errors import ContractViolation, clipped_repr
-from .ideals import MonomialIdeal, _walked_ideal, minimalize
+from .ideals import MonomialIdeal, _derived_ideal, minimalize
 from .monomials import Monomial, _require_ambient_size, borel_move_masks, iter_degree_masks
 
 
@@ -49,16 +51,15 @@ def _elements(masks: list[int], preds: Callable[[int], Iterable[int]]) -> list[t
     return [(bit[m], Monomial(m), sum(bit[r] for r in preds(m))) for m in masks]
 
 
-def _down_sets(elems: list[tuple], given: int, cap: int | None) -> Iterator[list[Monomial]]:
+def _down_sets(elems: list[tuple], given: int, cap: int | None) -> Iterator[tuple[Monomial, ...]]:
     """Every down-closed choice from ``elems``, exclude first.
 
     Each (bit, monomial, needs) element is listed after the elements whose
     bits its needs hold, except those in ``given``: the one bitmap of what is
-    chosen starts at ``given``. Each choice is yielded as the live stack of
-    chosen monomials in ``elems`` order, which the caller must copy before
-    resuming. This is the depth-first order of the binary walk that at each
-    element first skips it and then, when its predecessors are all in and
-    fewer than ``cap`` elements are chosen, takes it.
+    chosen starts at ``given``. Each choice is yielded as the tuple of its
+    monomials in ``elems`` order. This is the depth-first order of the binary
+    walk that at each element first skips it and then, when its predecessors
+    are all in and fewer than ``cap`` elements are chosen, takes it.
     """
     cap = len(elems) if cap is None else cap
     backwards = list(enumerate(elems))[::-1]  # each scan starts at the last element
@@ -66,7 +67,7 @@ def _down_sets(elems: list[tuple], given: int, cap: int | None) -> Iterator[list
     chosen: list[Monomial] = []
     bits = given
     while True:
-        yield chosen
+        yield tuple(chosen)
         # the deepest position whose take-branch is still open
         last = taken[-1]
         for i, (bit, mono, needs) in backwards:
@@ -95,15 +96,13 @@ def enumerate_strongly_stable_sets(n: int, d: int) -> Iterator[tuple[Monomial, .
         raise ContractViolation(f"degree must be an integer of at least 1, got {clipped_repr(d)}")
     walk = _down_sets(_elements(list(iter_degree_masks(n, d)), borel_move_masks), 0, None)
     next(walk)  # the empty set comes first
-    for chosen in walk:
-        yield tuple(chosen)
+    yield from walk
 
 
-def _two_degree_sets(n: int, max_extra: int | None) -> Iterator[tuple[tuple, list[Monomial]]]:
+def _two_degree_sets(n: int, max_extra: int | None) -> Iterator[tuple[tuple, tuple]]:
     """(M, extra) for every two-degree ideal of ``enumerate_strongly_stable_ideals``,
-    in its order: M the degree-d1 generators, extra the degree-d2 ones, the
-    walk's live stack, which the caller must copy before resuming. ``max_extra``
-    caps the number of degree-d2 generators."""
+    in its order: M the degree-d1 generators, extra the degree-d2 ones.
+    ``max_extra`` caps the number of degree-d2 generators."""
     for d1, d2 in combinations(range(1, n + 1), 2):
         upper = _elements(list(iter_degree_masks(n, d2)), borel_move_masks)
         # the bits of each degree-d1 mask's degree-d2 multiples
@@ -135,21 +134,25 @@ def enumerate_strongly_stable_ideals(n: int, max_degrees: int = 2) -> Iterator[M
         raise ContractViolation(f"max_degrees must be 1 or 2, got {clipped_repr(max_degrees)}")
     for d in range(1, n + 1):
         for mset in enumerate_strongly_stable_sets(n, d):
-            yield _walked_ideal(n, mset)
+            yield _derived_ideal(n, mset)
     if max_degrees == 1:
         return
     for mset, extra in _two_degree_sets(n, None):
-        yield _walked_ideal(n, (*mset, *extra))
+        yield _derived_ideal(n, mset + extra)
 
 
 def enumerate_proper_ideals(n: int) -> Iterator[MonomialIdeal]:
     """Every proper nonzero monomial ideal over e_1..e_n, once each, in a fixed order."""
+    _require_ambient_size(n)
     masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))  # the unit first
     elems = _elements(masks, _facet_masks)[1:]
+    bit_of = {u: bit for bit, u, _ in elems}
     for outside in _down_sets(elems, 1, None):  # the unit is always outside
         if len(outside) < len(elems):
-            skip = {u.mask for u in outside}
-            yield minimalize(n, [u for _, u, _ in elems if u.mask not in skip])
+            bits = sum(map(bit_of.__getitem__, outside), 1)
+            # the generators: inside the ideal, with every facet outside it
+            gens = [u for bit, u, needs in elems if not bits & bit and bits & needs == needs]
+            yield _derived_ideal(n, tuple(gens))
 
 
 def seeded_proper_ideals(n: int, count: int) -> list[MonomialIdeal]:

@@ -10,11 +10,13 @@ Minimality only ever compares generators of different degrees: distinct masks
 with the same bit count are never subsets of one another, so a generating set
 of a single degree is minimal as soon as it has no duplicates.
 
-The public constructor checks every generating set it is given. The one other
-way to build an ideal, ``_walked_ideal``, checks nothing: it serves only
-``enumerate_strongly_stable_ideals``, whose Borel walk already makes each
-generating set sorted, minimal and inside e_1..e_n (the ``enumeration``
-module docstring says why), and which checks n once, at its head.
+An ideal is checked where its generators enter the package: the public
+constructor and ``minimalize`` serve generators from outside (JSON, text
+constants, random picks, direct calls and unpickling). Every generating set
+the package derives itself (the walks of ``enumeration``, the colexsegment
+greedy, revlex segments) is built once, unchecked, by ``_derived_ideal``;
+each caller states in one line why its set is sorted, minimal and inside
+e_1..e_n, over an n it has checked.
 """
 
 from __future__ import annotations
@@ -71,25 +73,19 @@ class MonomialIdeal:
     __slots__ = ("n", "gens", "masks")
 
     def __init__(self, n: int, gens: Iterable[Monomial]):
-        gens = tuple(gens)
+        gens = _canonical(gens)
         # from a list, whose length tuple() reads: from a bare iterator it
         # shrinks an oversized tuple, and CPython's per-size free lists then
         # hoard such tuples (megabytes of peak RSS over a long campaign)
         masks = tuple([u.mask for u in gens])
-        degrees = list(map(int.bit_count, masks))
-        keys = list(zip(degrees, masks))
-        if keys != sorted(keys):
-            gens = _canonical(gens)
-            masks = tuple([u.mask for u in gens])
-            degrees = list(map(int.bit_count, masks))
         _set(self, "n", n)
         _set(self, "gens", gens)
         _set(self, "masks", masks)
         _require_ambient_size(n)
         if not gens:
             raise ContractViolation("an ideal needs at least one generator")
-        if min(masks) <= 0 or max(masks).bit_length() > n or len(set(masks)) < len(masks):
-            _refuse_masks(gens, masks, n)
+        _refuse_masks(gens, masks, n)
+        degrees = list(map(int.bit_count, masks))
         # a proper divisor has strictly lower degree: test each degree block
         # against the generators of higher degree only, first pair first
         count = len(masks)
@@ -155,13 +151,13 @@ class MonomialIdeal:
         return minimalize(n, gens)
 
 
-def _walked_ideal(n: int, gens: tuple[Monomial, ...]) -> MonomialIdeal:
-    """The ideal of a generating set that the Borel walk yields, unchecked.
+def _derived_ideal(n: int, gens: tuple[Monomial, ...]) -> MonomialIdeal:
+    """The ideal of a generating set the package derived itself, unchecked.
 
     ``gens`` must be a tuple in canonical order, minimal and inside e_1..e_n,
-    over an ambient size already checked; see the module docstring for why the
-    walk's sets are. A module function, not a method, so the bench's tracer,
-    which wraps the class's methods, neither wraps nor counts it.
+    over an ambient size already checked; each caller says why its set is
+    (see the module docstring). A module function, not a method, so the
+    bench's tracer, which wraps the class's methods, neither wraps nor counts it.
     """
     I = object.__new__(MonomialIdeal)
     _set(I, "n", n)

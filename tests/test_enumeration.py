@@ -10,6 +10,8 @@ import pickle
 
 import pytest
 
+from excolex import enumeration
+from excolex.colex import colex_ideal
 from excolex.enumeration import (
     _two_degree_sets,
     enumerate_proper_ideals,
@@ -134,10 +136,17 @@ def test_ideal_stream_refuses_a_degree_count_it_cannot_walk(max_degrees):
     assert len(str(refusal.value)) < 160
 
 
-@pytest.mark.parametrize("n", [0, -2, 65, 3.0, True, pytest.param(10**5000, id="10**5000")])
-def test_streams_refuse_an_ambient_size_outside_1_to_64(n):
-    # the ideal stream builds its ideals unchecked, so it checks n itself, at its head
-    for stream in (enumerate_strongly_stable_ideals(n), enumerate_strongly_stable_sets(n, 2)):
+@pytest.mark.parametrize("n", [0, -1, -2, 65, 3.0, True, pytest.param(10**5000, id="10**5000")])
+def test_streams_refuse_an_ambient_size_outside_1_to_64(n, monkeypatch):
+    # the ideal streams build their ideals unchecked, so each checks n itself, at
+    # its head: before the walk's tables (2^n elements for the proper ideals)
+    monkeypatch.setattr(enumeration, "_elements", lambda *args: pytest.fail("table built"))
+    streams = (
+        enumerate_strongly_stable_ideals(n),
+        enumerate_strongly_stable_sets(n, 2),
+        enumerate_proper_ideals(n),
+    )
+    for stream in streams:
         with pytest.raises(ContractViolation, match="^ambient size") as refusal:
             next(stream)
         assert len(str(refusal.value)) < 160
@@ -156,13 +165,35 @@ def test_set_stream_above_the_ambient_is_empty():
     assert list(enumerate_strongly_stable_sets(3, 10**5000)) == []
 
 
-@pytest.mark.parametrize("max_degrees", [1, 2])
-@pytest.mark.parametrize("n", range(1, 7))
-def test_walked_ideals_equal_the_constructors(n, max_degrees):
-    # the stream skips the constructor's checks; each ideal must be the one
+def _stable_stream(max_degrees):
+    return lambda n: enumerate_strongly_stable_ideals(n, max_degrees)
+
+
+def _colex_of(stream):
+    return lambda n: map(colex_ideal, stream(n))
+
+
+# every producer of ideals built without the constructor's checks, at each n
+DERIVED_IDEALS = [
+    *(pytest.param(_stable_stream(k), n, id=f"{n}-{k}") for n in range(1, 7) for k in (1, 2)),
+    *(pytest.param(enumerate_proper_ideals, n, id=f"proper-{n}") for n in range(1, 6)),
+    *(
+        pytest.param(_colex_of(enumerate_proper_ideals), n, id=f"colex-of-proper-{n}")
+        for n in range(1, 5)
+    ),
+    *(
+        pytest.param(_colex_of(enumerate_strongly_stable_ideals), n, id=f"colex-of-stable-{n}")
+        for n in range(1, 7)
+    ),
+]
+
+
+@pytest.mark.parametrize("producer, n", DERIVED_IDEALS)
+def test_walked_ideals_equal_the_constructors(producer, n):
+    # derived ideals skip the constructor's checks; each ideal must be the one
     # the public constructor builds from its generators
-    for I in enumerate_strongly_stable_ideals(n, max_degrees):
-        J = MonomialIdeal(n, I.gens)
+    for I in producer(n):
+        J = MonomialIdeal(I.n, I.gens)
         assert I == J and hash(I) == hash(J) and I.masks == J.masks
         assert type(I.gens) is tuple and type(I.masks) is tuple
         twin = pickle.loads(pickle.dumps(I))
@@ -284,6 +315,7 @@ PROPER_STREAM_PINS = {
     2: "e3ff197d4aa02f2e9036aa3dccca5349f252a49f5a78579d39748ed8d3b049c5",
     3: "59aa4f1b7a230d9e600206358adf4bd57da3455c44a80a1c9d353bbe62af30cd",
     4: "1d18015f1c0bec66870e28814f1f10956d0002b82d5858ce2e7f9349f73f1cfc",
+    5: "5b3ba363027ac2f7013abf0d1d112851ee582249e95ccd39ce2c90770eecdb0b",  # 7579 ideals
 }
 
 

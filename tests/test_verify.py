@@ -221,7 +221,7 @@ def test_section6_builds_one_ideal_per_profile(monkeypatch):
     # one ideal per (n, profile); with no failure, it builds nothing more
     walked = sum(1 for n in (5, 6, 7) for _ in _two_degree_sets(n, 2 if n == 7 else None))
     built, checked = [], []  # the (n, profile) of each two-degree ideal built, checked
-    real_build, real_check = verify.MonomialIdeal, verify.revlex_conditions_two_degrees
+    real_build, real_check = verify._derived_ideal, verify.revlex_conditions_two_degrees
 
     def build(n, gens):
         I = real_build(n, gens)
@@ -233,7 +233,7 @@ def test_section6_builds_one_ideal_per_profile(monkeypatch):
         checked.append((I.n, degree_profile(I)))
         return real_check(I)
 
-    monkeypatch.setattr(verify, "MonomialIdeal", build)
+    monkeypatch.setattr(verify, "_derived_ideal", build)
     monkeypatch.setattr(verify, "revlex_conditions_two_degrees", check)
     first = verify_revlex_characterizations()
     keys = 686
@@ -392,12 +392,15 @@ def test_green_failure_stays_per_ideal(monkeypatch):
 
 
 def _fed(monkeypatch, sets=(), ideals=()):
-    """Feed the shadow campaigns fixed, deliberately non-stable inputs."""
+    """Feed the shadow campaigns fixed, deliberately non-stable inputs: the
+    single-degree stream yields ``sets``, the two-degree one ``ideals``."""
     M = Monomial.from_text
-    sets = [(n, tuple(map(M, texts))) for n, texts in sets]
+    sets = [MonomialIdeal(n, list(map(M, texts))) for n, texts in sets]
     ideals = [MonomialIdeal(n, list(map(M, texts))) for n, texts in ideals]
-    monkeypatch.setattr(verify, "_stable_sets", lambda n_max: iter(sets))
-    monkeypatch.setattr(verify, "_stable_ideals", lambda n_max, **options: iter(ideals))
+    monkeypatch.setattr(
+        verify, "_stable_ideals",
+        lambda n_max, max_degrees=2: iter(sets if max_degrees == 1 else ideals),
+    )
 
 
 def test_shadow_counting_failure_payloads(monkeypatch):
