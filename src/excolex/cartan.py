@@ -27,9 +27,12 @@ prime field.
   alike: no rank moves.
 * "direct": build one sparse +/-1 boundary matrix per (homological, internal)
   degree cell at once, from the surviving masks of its two monomial degrees
-  and the tables of power multi-indices of its two levels, and eliminate it
-  whole, every row. Slower, kept as the cross-check path; the boundary-of-
-  boundary check composes the same matrices.
+  and, per variable k, the table of lowerings a -> a - e_k between the power
+  multi-indices of its two levels, and eliminate it whole, every row. Rows
+  start empty and only the nonzero terms are written. Slower, kept as the
+  cross-check path; the boundary-of-boundary check composes the same
+  matrices, skipping the rows that compose to zero: empty ones, and those of
+  a cell whose next boundary has no columns.
 """
 
 from __future__ import annotations
@@ -59,47 +62,57 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=16)  # few (level, n) pairs recur; the direct guard bounds each table
 def _multi_indices(i: int, n: int) -> tuple[tuple, tuple]:
-    """The level-i multi-indices over n variables in lex order, and for each its
-    lowerings: (k, position of a - e_k among the level-(i - 1) ones) for a_k > 0."""
+    """The level-i multi-indices over n variables in lex order, and for each
+    variable k its lowerings: the pairs (position of a, position of a - e_k
+    among the level-(i - 1) ones) for every a with a_k > 0, in order of a."""
     powers = tuple(_compositions(i, n))
     below = {a: y for y, a in enumerate(_compositions(i - 1, n))} if i else {}
     return powers, tuple(
-        tuple((k, below[a[:k] + (a_k - 1,) + a[k + 1:]]) for k, a_k in enumerate(a) if a_k)
-        for a in powers
+        tuple((x, below[a[:k] + (a[k] - 1,) + a[k + 1:]]) for x, a in enumerate(powers) if a[k])
+        for k in range(n)
     )
 
 
 def _boundary_matrix(sources: Sequence[int], targets: Sequence[int], i: int, n: int) -> list[dict]:
-    """The boundary from level i to i - 1 on one degree cell, as {column: sign} rows;
-    ``sources`` and ``targets`` are the ascending surviving masks of degrees d
-    and d + 1, and a basis lists (survivor, multi-index) pairs by survivor, then
-    by the multi-index in lex order. A term e_k s that is no survivor (k
-    divides s, or the product is in the ideal) vanishes."""
-    lowered, rows = _multi_indices(i, n)[1], []
-    width = comb(n + i - 2, i - 1)  # the number of level-(i - 1) multi-indices
+    """The boundary from level i to i - 1 on one degree cell, as {column: sign}
+    rows; ``sources`` and ``targets`` are the ascending surviving masks of
+    degrees d and d + 1, and a basis lists (survivor, multi-index) pairs by
+    survivor, then by the multi-index in lex order. A term e_k s that is no
+    survivor (k divides s, or the product is in the ideal) vanishes, so each
+    row starts empty and only the variables k with s | e_k a target write into
+    it, in ascending k: a row lists its columns by k."""
+    powers, lowered = _multi_indices(i, n)
+    size, width = len(powers), comb(n + i - 2, i - 1)  # width: the level-(i - 1) count
     block = {t: c * width for c, t in enumerate(targets)}  # a target's first column
-    for s in sources:
-        base, sign = [0] * n, [0] * n  # by index k: the column block and sign, 0 if none
+    rows: list[dict] = [{} for _ in range(len(sources) * size)]  # distinct dicts
+    for x, s in enumerate(sources):
+        offset = x * size
         for k in range(n):
-            if (b := block.get(s | 1 << k)) is not None:
-                base[k], sign[k] = b, -1 if (s & ((1 << k) - 1)).bit_count() & 1 else 1
-        rows.extend({base[k] + y: sign[k] for k, y in low if sign[k]} for low in lowered)
+            if (b := block.get(s | 1 << k)) is not None:  # else k divides s, or e_k s is in I
+                sign = -1 if (s & ((1 << k) - 1)).bit_count() & 1 else 1
+                for a, y in lowered[k]:
+                    rows[offset + a][b + y] = sign
     return rows
 
 
 def _boundary_squared_failures(I: MonomialIdeal, i_max: int) -> Iterator[dict]:
     """The first element of homological degree 2..i_max with d(d(elem)) != 0, if any,
-    composing the boundary matrices on int keys."""
-    n, survivors = I.n, _guard_dimensions(I, i_max, DEFAULT_CELL_CAP) + [[]]  # none of degree n + 1
+    composing the boundary matrices on int keys. Each element's row is read
+    once; a row composes to zero, and is skipped, when it is empty or when the
+    next boundary has no columns (no survivor two degrees up)."""
+    n, survivors = I.n, _guard_dimensions(I, i_max, DEFAULT_CELL_CAP) + [[], []]  # none above n
     rows = {(i, d): _boundary_matrix(survivors[d], survivors[d + 1], i, n)  # each cell once
             for i in range(1, i_max + 1) for d in range(n + 1)}
     for i in range(2, i_max + 1):
         powers = _multi_indices(i, n)[0]
         for d in range(n + 1):  # internal degree j = i + d, ascending
+            right = rows[i - 1, d + 1] if survivors[d + 2] else None
             for x, row in enumerate(rows[i, d]):
+                if not row or right is None:
+                    continue
                 acc: dict[int, int] = {}
-                for c, s1 in row.items():  # a term has degree d + 1 <= n
-                    for c2, s2 in rows[i - 1, d + 1][c].items():
+                for c, s1 in row.items():
+                    for c2, s2 in right[c].items():
                         acc[c2] = acc.get(c2, 0) + s1 * s2
                 if any(acc.values()):
                     mask, a = survivors[d][x // len(powers)], powers[x % len(powers)]

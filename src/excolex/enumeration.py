@@ -35,9 +35,13 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
 
-from .errors import ContractViolation, clipped_repr
+from .errors import CampaignTooLarge, ContractViolation, clipped_repr
 from .ideals import MonomialIdeal, _derived_ideal, minimalize
 from .monomials import Monomial, _require_ambient_size, borel_move_masks, iter_degree_masks
+
+# The largest n the proper-ideal stream walks: its table holds all 2^n masks,
+# and at n = 6 the stream already yields 7.8 million ideals.
+PROPER_N_MAX = 6
 
 
 def _facet_masks(mask: int) -> tuple[int, ...]:
@@ -142,8 +146,12 @@ def enumerate_strongly_stable_ideals(n: int, max_degrees: int = 2) -> Iterator[M
 
 
 def enumerate_proper_ideals(n: int) -> Iterator[MonomialIdeal]:
-    """Every proper nonzero monomial ideal over e_1..e_n, once each, in a fixed order."""
+    """Every proper nonzero monomial ideal over e_1..e_n, once each, in a fixed
+    order; n above ``PROPER_N_MAX`` is refused before any table is built."""
     _require_ambient_size(n)
+    if n > PROPER_N_MAX:
+        refused = f"proper-ideal stream at n = {n} is above its ceiling {PROPER_N_MAX}"
+        raise CampaignTooLarge(refused)
     masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))  # the unit first
     elems = _elements(masks, _facet_masks)[1:]
     bit_of = {u: bit for bit, u, _ in elems}

@@ -61,7 +61,7 @@ class AmbientCapExceeded(RuntimeError):
 
 
 class CampaignTooLarge(RuntimeError):
-    """A campaign's ``n_max`` passes its claim's ceiling."""
+    """A campaign's ``n_max``, or a stream's n, passes its ceiling."""
 
 
 class ConstructionTooLarge(RuntimeError):

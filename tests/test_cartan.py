@@ -1,6 +1,7 @@
 """Homology oracle: chain spaces, the boundary map, exact ranks, Betti tables."""
 
 from collections import Counter
+from itertools import product
 from math import comb
 from unittest.mock import patch
 
@@ -225,6 +226,90 @@ def test_boundary_squared_walk_composes_every_basis_element():
             elements[i] += sum(len(chain_space(I, i, j)) for j in range(I.n + i + 1))
     assert len(proper) == 189 and DD_I_MAX == 4
     assert composed == elements and sum(composed.values()) == 88651
+
+
+def reference_boundary_squared(I, i_max):
+    """The d∘d check with no skips: every row of every level-i cell composes with
+    the level-(i - 1) rows, as ``_boundary_squared_failures`` did before it
+    skipped the rows that compose to zero."""
+    n, below = I.n, [survivors(I, d) for d in range(I.n + 1)] + [[]]
+    rows = {(i, d): cartan._boundary_matrix(below[d], below[d + 1], i, n)
+            for i in range(1, i_max + 1) for d in range(n + 1)}
+    for i in range(2, i_max + 1):
+        powers = cartan._multi_indices(i, n)[0]
+        for d in range(n + 1):
+            for x, row in enumerate(rows[i, d]):
+                acc = Counter()
+                for c, s1 in row.items():
+                    for c2, s2 in rows[i - 1, d + 1][c].items():
+                        acc[c2] += s1 * s2
+                if any(acc.values()):
+                    mask, a = below[d][x // len(powers)], powers[x % len(powers)]
+                    element = [Monomial(mask).text(), list(a)]
+                    return [{"case": "boundary squared", "ideal": I.as_dict(), "element": element}]
+    return []
+
+
+def test_boundary_squared_skips_agree_with_the_full_composition():
+    # over every proper ideal with n <= 3, on the real matrices and with one
+    # entry of one nonempty row flipped, for each such row of each cell in turn
+    # (the last nonempty row of a cell included). Below n = 4 every survivor
+    # has degree 2 or less, so (e1e2e3e4) adds cells d >= 1 whose next
+    # boundary has columns.
+    real, i_max = cartan._boundary_matrix, DD_I_MAX
+    mutants = caught = 0
+    universe = [I for n in range(1, 4) for I in enumerate_proper_ideals(n)]
+    for I in universe + [ideal(4, "e1e2e3e4")]:
+        assert list(_boundary_squared_failures(I, i_max)) == []
+        assert reference_boundary_squared(I, i_max) == []
+        cells = {(i, d): real(survivors(I, d), survivors(I, d + 1), i, I.n)
+                 for i in range(1, i_max + 1) for d in range(I.n + 1)}
+        for (level, degree), rows in cells.items():
+            for flipped in [x for x, row in enumerate(rows) if row]:
+                applied = []
+
+                def mutant(sources, targets, i, n):
+                    rows = real(sources, targets, i, n)
+                    if i == level and sources and sources[0].bit_count() == degree:
+                        row = rows[flipped]
+                        first = next(iter(row))
+                        row[first] = -row[first]
+                        applied.append(i)
+                    return rows
+
+                with patch.object(cartan, "_boundary_matrix", mutant):
+                    witnesses = list(_boundary_squared_failures(I, i_max))
+                    assert applied == [level]  # the check built the cell once
+                    assert witnesses == reference_boundary_squared(I, i_max)
+                mutants += 1
+                caught += bool(witnesses)
+    assert (mutants, caught) == (1745, 817)
+
+
+def test_lowering_tables_match_their_definition():
+    for n in range(1, 6):
+        for i in range(5):
+            powers, lowered = cartan._multi_indices(i, n)
+            assert list(powers) == sorted(a for a in product(range(i + 1), repeat=n) if sum(a) == i)
+            level_below = [a for a in product(range(i), repeat=n) if sum(a) == i - 1]
+            assert len(lowered) == n
+            for k in range(n):
+                unit = tuple(int(v == k) for v in range(n))
+                expected = [
+                    (x, sorted(level_below).index(tuple(p - u for p, u in zip(a, unit))))
+                    for x, a in enumerate(powers) if a[k] > 0
+                ]
+                assert list(lowered[k]) == expected
+
+
+def test_boundary_rows_are_distinct_dicts():
+    # callers mutate rows in place (the sign-flip tests), so no two rows of a
+    # cell may share a dict, not even the empty ones
+    I = ideal(4, "e1e2", "e3e4")
+    for i in range(1, 4):
+        for d in range(I.n + 1):
+            rows = cartan._boundary_matrix(survivors(I, d), survivors(I, d + 1), i, I.n)
+            assert len({id(row) for row in rows}) == len(rows)
 
 
 # --- ranks -----------------------------------------------------------------------

@@ -13,12 +13,13 @@ import pytest
 from excolex import enumeration
 from excolex.colex import colex_ideal
 from excolex.enumeration import (
+    PROPER_N_MAX,
     _two_degree_sets,
     enumerate_proper_ideals,
     enumerate_strongly_stable_ideals,
     enumerate_strongly_stable_sets,
 )
-from excolex.errors import ContractViolation
+from excolex.errors import CampaignTooLarge, ContractViolation
 from excolex.ideals import (
     MonomialIdeal,
     degree_profile,
@@ -150,6 +151,18 @@ def test_streams_refuse_an_ambient_size_outside_1_to_64(n, monkeypatch):
         with pytest.raises(ContractViolation, match="^ambient size") as refusal:
             next(stream)
         assert len(str(refusal.value)) < 160
+
+
+@pytest.mark.parametrize("n", [PROPER_N_MAX + 1, 64])
+def test_proper_ideal_stream_refuses_an_ambient_size_above_its_ceiling(n, monkeypatch):
+    # in range for the other streams, but its table would hold 2^n masks: at
+    # n = 64 building it raised a bare OverflowError
+    monkeypatch.setattr(enumeration, "_elements", lambda *args: pytest.fail("table built"))
+    assert PROPER_N_MAX == 6
+    refused = f"^proper-ideal stream at n = {n} is above its ceiling 6"
+    with pytest.raises(CampaignTooLarge, match=refused) as refusal:
+        next(enumerate_proper_ideals(n))
+    assert len(str(refusal.value)) < 160
 
 
 @pytest.mark.parametrize("d", [0, -1, True, 2.0, "2"])
