@@ -232,8 +232,8 @@ def reference_boundary_squared(I, i_max):
     """The d∘d check with no skips: every row of every level-i cell composes with
     the level-(i - 1) rows, as ``_boundary_squared_failures`` did before it
     skipped the rows that compose to zero."""
-    n, below = I.n, [survivors(I, d) for d in range(I.n + 1)] + [[]]
-    rows = {(i, d): cartan._boundary_matrix(below[d], below[d + 1], i, n)
+    n, masks = I.n, [survivors(I, d) for d in range(I.n + 1)] + [[]]
+    rows = {(i, d): cartan._boundary_matrix(masks[d], masks[d + 1], i, n)
             for i in range(1, i_max + 1) for d in range(n + 1)}
     for i in range(2, i_max + 1):
         powers = cartan._multi_indices(i, n)[0]
@@ -244,7 +244,7 @@ def reference_boundary_squared(I, i_max):
                     for c2, s2 in rows[i - 1, d + 1][c].items():
                         acc[c2] += s1 * s2
                 if any(acc.values()):
-                    mask, a = below[d][x // len(powers)], powers[x % len(powers)]
+                    mask, a = masks[d][x // len(powers)], powers[x % len(powers)]
                     element = [Monomial(mask).text(), list(a)]
                     return [{"case": "boundary squared", "ideal": I.as_dict(), "element": element}]
     return []
@@ -291,12 +291,12 @@ def test_lowering_tables_match_their_definition():
         for i in range(5):
             powers, lowered = cartan._multi_indices(i, n)
             assert list(powers) == sorted(a for a in product(range(i + 1), repeat=n) if sum(a) == i)
-            level_below = [a for a in product(range(i), repeat=n) if sum(a) == i - 1]
+            level_below = sorted(a for a in product(range(i), repeat=n) if sum(a) == i - 1)
             assert len(lowered) == n
             for k in range(n):
                 unit = tuple(int(v == k) for v in range(n))
                 expected = [
-                    (x, sorted(level_below).index(tuple(p - u for p, u in zip(a, unit))))
+                    (x, level_below.index(tuple(p - u for p, u in zip(a, unit))))
                     for x, a in enumerate(powers) if a[k] > 0
                 ]
                 assert list(lowered[k]) == expected
