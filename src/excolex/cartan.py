@@ -32,7 +32,7 @@ prime field.
   start empty and only the nonzero terms are written. Slower, kept as the
   cross-check path; the boundary-of-boundary check composes the same
   matrices, skipping the rows that compose to zero: empty ones, and those of
-  a cell whose next boundary has no columns.
+  a cell whose next boundary has no columns, which it never builds.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .betti import MAX_TABLE_CELLS, SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from .errors import ContractViolation, OracleTooLarge, TableTooLarge, clipped_repr
-from .ideals import MonomialIdeal, scan_component
+from .ideals import MonomialIdeal, _masks_at, component_masks
 from .monomials import Monomial
 
 DEFAULT_PRIME = 32003
@@ -99,16 +99,24 @@ def _boundary_squared_failures(I: MonomialIdeal, i_max: int) -> Iterator[dict]:
     """The first element of homological degree 2..i_max with d(d(elem)) != 0, if any,
     composing the boundary matrices on int keys. Each element's row is read
     once; a row composes to zero, and is skipped, when it is empty or when the
-    next boundary has no columns (no survivor two degrees up)."""
+    next boundary has no columns (no survivor two degrees up). Cells are built
+    on first read, so a cell of the second kind is never built."""
     n, survivors = I.n, _guard_dimensions(I, i_max, DEFAULT_CELL_CAP) + [[], []]  # none above n
-    rows = {(i, d): _boundary_matrix(survivors[d], survivors[d + 1], i, n)  # each cell once
-            for i in range(1, i_max + 1) for d in range(n + 1)}
+    rows: dict[tuple[int, int], list[dict]] = {}  # (i, d) -> boundary rows, each cell once
+
+    def cell(i: int, d: int) -> list[dict]:
+        if (i, d) not in rows:
+            rows[i, d] = _boundary_matrix(survivors[d], survivors[d + 1], i, n)
+        return rows[i, d]
+
     for i in range(2, i_max + 1):
         powers = _multi_indices(i, n)[0]
         for d in range(n + 1):  # internal degree j = i + d, ascending
-            right = rows[i - 1, d + 1] if survivors[d + 2] else None
-            for x, row in enumerate(rows[i, d]):
-                if not row or right is None:
+            if not survivors[d + 2]:
+                continue
+            right = cell(i - 1, d + 1)
+            for x, row in enumerate(cell(i, d)):
+                if not row:
                     continue
                 acc: dict[int, int] = {}
                 for c, s1 in row.items():
@@ -194,7 +202,8 @@ def _guard_dimensions(I: MonomialIdeal, i_max: int, cap: int) -> list[list[int]]
         blocks = comb(I.n + i - 1, i)
         for d in range(min(I.n, I.n + i_max - i) + 1):  # j = i + d up to n + i_max
             if d == len(survivors):  # row i = 0 reaches every degree, in order
-                survivors.append([m for m, inside in scan_component(I.masks, I.n, d) if not inside])
+                masks, inside = component_masks(I.masks, I.n, d)
+                survivors.append(_masks_at(masks, inside ^ ((1 << len(masks)) - 1)))
             dim = len(survivors[d]) * blocks
             if dim > cap:
                 raise OracleTooLarge(f"chain space dimension at (i={i}, j={i + d})", dim, cap)

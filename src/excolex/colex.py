@@ -8,13 +8,19 @@ are a prefix of the ascending degree-d masks of any larger ambient, so the
 greedy at m succeeds exactly when every pick at the cap lies in e_1..e_m, and
 then both pick the same masks. ``greedy_generators`` takes the ambient as an
 argument so that this can be checked by rerunning it at larger m.
+
+The greedy scans each degree's masks lazily and stops at its last pick; the
+revlex tests read whole components through ``ideals.component_masks``, as
+bitmaps over the ascending masks: a component is a revlex segment exactly
+when its bitmap u has u & (u + 1) == 0, and its dimension is a popcount.
 """
 
 from __future__ import annotations
 
-from itertools import groupby, islice, takewhile
+from bisect import bisect_right
+from itertools import groupby
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     AmbientCapExceeded,
@@ -25,7 +31,15 @@ from .errors import (
     NotARevlexSegment,
     clipped_repr,
 )
-from .ideals import DegreeProfile, MonomialIdeal, _derived_ideal, degree_profile, scan_component
+from .ideals import (
+    MAX_SCANNED_MASKS,
+    DegreeProfile,
+    MonomialIdeal,
+    _degree_table,
+    _derived_ideal,
+    component_masks,
+    degree_profile,
+)
 from .monomials import (
     MAX_VARIABLES,
     Monomial,
@@ -37,8 +51,6 @@ from .monomials import (
 
 # Largest ambient size the construction scan tries unless told otherwise.
 DEFAULT_AMBIENT_CAP = 32
-# Masks the greedy may visit, over all degrees, before it refuses (~1 us a mask, CPython 3.11).
-MAX_SCANNED_MASKS = 1_000_000
 
 
 def greedy_generators(profile: DegreeProfile, m: int) -> tuple[Monomial, ...] | None:
@@ -46,15 +58,21 @@ def greedy_generators(profile: DegreeProfile, m: int) -> tuple[Monomial, ...] | 
 
     Masks ascend in revlex-descending order, so the first picks not divisible
     by an earlier choice are exactly the revlex-largest available monomials.
-    Refuses (``ConstructionTooLarge``) once the scan passes ``MAX_SCANNED_MASKS``."""
+    The scan is lazy, a prefix of each degree's masks: it stops at the last
+    pick, since a whole component can be far too large to read (C(32, 16)
+    masks for degree 16 over 32 variables). Refuses (``ConstructionTooLarge``)
+    once the scan passes ``MAX_SCANNED_MASKS``."""
     chosen: list[int] = []
     scanned = 0  # masks visited, over every degree
     for degree, count in profile:
         picks = []
-        for scanned, (mask, inside) in enumerate(scan_component(chosen, m, degree), scanned + 1):
+        for scanned, mask in enumerate(iter_degree_masks(m, degree), scanned + 1):
             if scanned > MAX_SCANNED_MASKS:
                 raise ConstructionTooLarge(f"construction scan passes {MAX_SCANNED_MASKS} masks")
-            if not inside:
+            for g in chosen:  # earlier degrees only: a pick of this degree divides no other
+                if g & mask == g:
+                    break
+            else:
                 picks.append(mask)
                 if len(picks) == count:  # the scan stops at the count-th pick
                     break
@@ -105,21 +123,14 @@ def is_revlex_segment(monos, n: int) -> bool:
     return all(expected == got for expected, got in zip(iter_degree_masks(n, d), masks))
 
 
-def _segment_length(flags: Iterable[bool]) -> int | None:
-    """How many members lead a scan of one degree's ascending masks, or None
-    when a member follows a non-member (the members are then no revlex segment)."""
-    flags = iter(flags)
-    length = sum(1 for _ in takewhile(bool, flags))
-    return None if any(flags) else length
-
-
 def is_revlex_ideal(I: MonomialIdeal) -> bool:
-    """Every graded component from the initial degree up is a revlex segment."""
+    """Every graded component from the initial degree up is a revlex segment:
+    its positions among the ascending masks are 0..L-1, a bitmap 2^L - 1."""
     for t in range(I.indeg, I.n + 1):
-        length = _segment_length(inside for _, inside in scan_component(I.masks, I.n, t))
-        if length is None:
+        masks, inside = component_masks(I.masks, I.n, t)
+        if inside & (inside + 1):
             return False
-        if length == comb(I.n, t):  # every degree-t monomial is in, so every higher one is
+        if inside == (1 << len(masks)) - 1:  # all of degree t are in, so all of higher degree
             return True
     return True
 
@@ -140,11 +151,10 @@ def segment_shadow_conditions(monos, n: int) -> tuple[bool, bool, bool]:
     if d >= n - 2:
         raise DegreeTooHigh(f"degree {d} not below n-2 = {n - 2}")
     masks = {u.mask for u in monos}
-    shad = shadow_masks(masks, (1 << n) - 1)  # the degree-(d+1) component of (M)
-    shadow_length = _segment_length(m in shad for m in iter_degree_masks(n, d + 1))
+    _, shadow = component_masks(masks, n, d + 1)  # the degree-(d+1) component of (M)
     big_enough = len(monos) >= comb(n - 2, d)
     corner = ((1 << d) - 1) << (n - d - 2)  # e_{n-d-1}...e_{n-2}
-    return (shadow_length is not None, big_enough, corner in masks)
+    return (shadow & (shadow + 1) == 0, big_enough, corner in masks)
 
 
 class RevlexConditionReport(NamedTuple):
@@ -198,19 +208,20 @@ def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:
     if not d2 < n - 2:
         raise HypothesisViolated(f"need d2 < n-2, got d2 = {d2}, n = {n}")
     dim_d1 = p1  # the initial-degree component is spanned by its generators
-    dim_d2 = sum(inside for _, inside in scan_component(I.masks, n, d2))
-    dim_construction_d2 = sum(inside for _, inside in scan_component(J.masks, n, d2))
+    dim_d2 = component_masks(I.masks, n, d2)[1].bit_count()
+    masks_d2, inside_d2 = component_masks(J.masks, n, d2)
+    dim_construction_d2 = inside_d2.bit_count()
     threshold_i = comb(n - 2, d1)
     holds_i = dim_d1 >= threshold_i
     a_size = sum(comb(r, d1) for r in range(d1, n - 1))
     c, holds_ii = 0, False
     if d2 == d1 + 1:
         # w: the revlex-least member (largest mask) of the degree-d1 segment's shadow
-        w = max(shadow_masks(islice(iter_degree_masks(n, d1), dim_d1), (1 << n) - 1))
+        w = max(shadow_masks(_degree_table(n, d1)[0][:dim_d1], (1 << n) - 1))
         z = ((1 << (d1 + 1)) - 1) << (n - d1 - 2)  # e_{n-d1-1}...e_{n-1}
         # count degree-d2 monomials v with z > v >= w; masks ascend in revlex
-        # descending order, so the window is z < mask(v) <= w
-        c = sum(m > z for m in takewhile(lambda m: m <= w, iter_degree_masks(n, d2)))
+        # descending order, so the window is z < mask(v) <= w, empty when w < z
+        c = max(0, bisect_right(masks_d2, w) - bisect_right(masks_d2, z))
         holds_ii = dim_construction_d2 >= a_size + c
     return RevlexConditionReport(
         n=n,

@@ -4,7 +4,12 @@ In the exterior algebra a monomial u divides v exactly when supp(u) is
 contained in supp(v), so ideal membership of a monomial is a subset test
 against the generators. Graded components are computed by that superset test
 directly, independently of iterated shadows, which lets the two routes
-cross-check each other.
+cross-check each other. ``component_masks`` reads a whole component at once:
+over a cached table of the ascending degree-t masks it keeps, per variable, a
+bitmap of the positions whose mask holds it, so a generator's multiples are
+an AND of bitmaps and the component an OR over the generators. Every reader
+of a whole component goes through it; only the colexsegment greedy scans a
+prefix of one, lazily.
 
 Minimality only ever compares generators of different degrees: distinct masks
 with the same bit count are never subsets of one another, so a generating set
@@ -23,7 +28,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
+from itertools import compress
+from math import comb
 
 from .errors import ContractViolation, clipped_repr
 from .monomials import (
@@ -38,6 +45,11 @@ from .monomials import (
 DegreeProfile = tuple[tuple[int, int], ...]
 
 _set = object.__setattr__  # MonomialIdeal's own __setattr__ refuses every write
+
+# Masks the colexsegment greedy may visit, over all degrees, before it refuses
+# (~1 us a mask, CPython 3.11); also the most masks the degree tables keep in all.
+MAX_SCANNED_MASKS = 1_000_000
+_tables: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}  # oldest first
 
 
 def _canonical(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -205,23 +217,78 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
     return MonomialIdeal(n, [Monomial(m) for m in below + level])
 
 
-def scan_component(gen_masks: Sequence[int], n: int, t: int) -> Iterator[tuple[int, bool]]:
-    """The degree-t masks, ascending, each with whether a generator mask divides it
-    (none of degree above t does). Lazy: a caller stops once it has what it needs."""
-    for m in iter_degree_masks(n, t):
-        for g in gen_masks:
-            if g & m == g:
-                yield m, True
-                break
-        else:
-            yield m, False
+def _variable_bitmaps(n: int, t: int) -> tuple[int, ...]:
+    """For each variable k < n, the bitmap of the positions, among the ascending
+    degree-t masks below 2^n, of the masks that hold k.
+
+    Over the variables 0..v, the degree-s masks are those over 0..v-1, then
+    the degree-(s-1) ones with bit v added: each variable added shifts and
+    joins the bitmaps of two degrees, and only the degrees that can still
+    reach t are kept."""
+    rows: dict[int, tuple[int, ...]] = {0: ()}  # by degree; over no variable, one empty mask
+    for v in range(n):
+        zeros = (0,) * v  # a degree with no mask over 0..v-1
+        grown = {}
+        for s in range(max(0, t - n + v + 1), min(t, v + 1) + 1):
+            shift = comb(v, s)  # the masks without bit v come first
+            low, high = rows.get(s, zeros), rows.get(s - 1, zeros)
+            top = ((1 << comb(v, s - 1)) - 1) << shift if s else 0
+            grown[s] = tuple([a | b << shift for a, b in zip(low, high)]) + (top,)
+        rows = grown
+    return rows[t]
+
+
+def _degree_table(n: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ascending degree-t masks below 2^n and their variable bitmaps.
+
+    Cached while the kept tables hold at most ``MAX_SCANNED_MASKS`` masks in
+    all, the oldest dropped first; a larger table is built and not kept."""
+    table = _tables.get((n, t))
+    if table is None:
+        table = tuple(iter_degree_masks(n, t)), _variable_bitmaps(n, t)
+        size = len(table[0])
+        if size <= MAX_SCANNED_MASKS:
+            kept = sum(len(masks) for masks, _ in _tables.values())
+            while kept + size > MAX_SCANNED_MASKS:
+                kept -= len(_tables.pop(next(iter(_tables)))[0])
+            _tables[n, t] = table
+    return table
+
+
+def component_masks(gen_masks: Iterable[int], n: int, t: int) -> tuple[tuple[int, ...], int]:
+    """The ascending degree-t masks below 2^n (0 <= t <= n), and the bitmap of
+    the positions of those a generator mask divides.
+
+    The superset test, a whole component at once: a generator's multiples are
+    the AND of its variables' bitmaps, and the component is the OR over the
+    generators."""
+    masks, bitmaps = _degree_table(n, t)
+    full = (1 << len(masks)) - 1
+    inside = 0
+    for g in gen_masks:
+        if g.bit_count() > t or g >> n:  # no multiple of degree t below 2^n
+            continue
+        multiples = full
+        while g:
+            low = g & -g
+            multiples &= bitmaps[low.bit_length() - 1]
+            g ^= low
+        inside |= multiples
+        if inside == full:
+            break
+    return masks, inside
+
+
+def _masks_at(masks: Sequence[int], bits: int) -> list[int]:
+    """The masks at the set positions of ``bits``, in order."""
+    return list(compress(masks, map("1".__eq__, reversed(f"{bits:b}"))))
 
 
 def graded_component(I: MonomialIdeal, t: int) -> set[Monomial]:
     """All degree-t monomials of the ideal (the superset test, not iterated shadows)."""
     if not 0 <= t <= I.n:
         raise ContractViolation(f"degree {t} outside 0..{I.n}")
-    return {Monomial(m) for m, inside in scan_component(I.masks, I.n, t) if inside}
+    return set(map(Monomial, _masks_at(*component_masks(I.masks, I.n, t))))
 
 
 def degree_profile(I: MonomialIdeal) -> DegreeProfile:

@@ -45,7 +45,14 @@ from .enumeration import (
     seeded_proper_ideals,
 )
 from .errors import CampaignTooLarge, ContractViolation, HypothesisViolated, clipped_repr
-from .ideals import MonomialIdeal, _derived_ideal, degree_profile, minimalize, scan_component
+from .ideals import (
+    MonomialIdeal,
+    _derived_ideal,
+    _masks_at,
+    component_masks,
+    degree_profile,
+    minimalize,
+)
 from .monomials import Monomial, revlex_segment, shadow_masks
 
 
@@ -200,7 +207,7 @@ def verify_shadow_counting(n_max: int = 6, ideal_n_max: int = 5) -> Verification
         n = I.n
         for t in range(I.indeg, n):
             # ascending, so "largest index <= p" (m < 2^p) is a prefix
-            comp = [m for m, inside in scan_component(I.masks, n, t) if inside]
+            comp = _masks_at(*component_masks(I.masks, n, t))
             pieces = set()  # the union over i in (t, p], grown one i at a time
             for p in range(t + 1, n + 1):
                 prefix = comp[: bisect_left(comp, 1 << p)]

@@ -14,8 +14,8 @@ from excolex.betti import stable_betti_table, tables_agree
 from excolex.cartan import _boundary_squared_failures, cartan_betti, exact_rank, rank_mod_p
 from excolex.enumeration import enumerate_proper_ideals
 from excolex.errors import ContractViolation, OracleTooLarge
-from excolex.ideals import minimalize, scan_component
-from excolex.monomials import Monomial
+from excolex.ideals import minimalize
+from excolex.monomials import Monomial, iter_degree_masks
 from excolex.verify import DD_I_MAX
 
 M = Monomial.from_text
@@ -26,7 +26,7 @@ def ideal(n, *texts):
 
 
 def survivors(I, d):
-    return [m for m, inside in scan_component(I.masks, I.n, d) if not inside]
+    return [m for m in iter_degree_masks(I.n, d) if not any(g & m == g for g in I.masks)]
 
 
 def chain_space(I, i, j):
@@ -200,11 +200,21 @@ def test_boundary_squared_check_catches_a_flipped_sign(I, element):
     assert [(w["case"], w["element"]) for w in witnesses] == [("boundary squared", element)]
 
 
+def read_cells(I, i_max):
+    """The (i, d) cells the d∘d check reads: each level-i cell, i >= 2, with a
+    survivor two degrees up, and the level-(i - 1) cell it composes with."""
+    masks = [survivors(I, d) for d in range(I.n + 1)] + [[], []]
+    return {cell for i in range(2, i_max + 1) for d in range(I.n + 1) if masks[d + 2]
+            for cell in ((i, d), (i - 1, d + 1))}
+
+
 def test_boundary_squared_walk_composes_every_basis_element():
-    # 88651 = the chain space elements at levels 2..DD_I_MAX over the 189 proper
-    # ideals with n <= 4: the walk iterates each one's row once, to compose it
+    # over the 189 proper ideals with n <= 4, the walk iterates once the row of
+    # each chain space element at levels 2..DD_I_MAX whose cell has a survivor
+    # two degrees up, and builds each cell it reads once: the other rows
+    # compose to zero, and their cells are never built
     real = cartan._boundary_matrix
-    composed = Counter()
+    composed, built = Counter(), Counter()
 
     class Rows(list):  # counts, by level, the rows the walk iterates
         def __iter__(self):
@@ -213,19 +223,27 @@ def test_boundary_squared_walk_composes_every_basis_element():
                 yield row
 
     def counting(sources, targets, i, n):
+        built[i, tuple(sources), tuple(targets)] += 1
         rows = Rows(real(sources, targets, i, n))
         rows.level = i
         return rows
 
     proper = [I for n in range(1, 5) for I in enumerate_proper_ideals(n)]
-    with patch.object(cartan, "_boundary_matrix", counting):
-        assert not [w for I in proper for w in _boundary_squared_failures(I, DD_I_MAX)]
-    elements = Counter()
+    elements, cells = Counter(), 0
     for I in proper:
+        built.clear()
+        with patch.object(cartan, "_boundary_matrix", counting):
+            assert not list(_boundary_squared_failures(I, DD_I_MAX))
+        assert set(built.values()) <= {1}
+        read = read_cells(I, DD_I_MAX)
+        assert len(built) == len(read)
+        cells += len(read)
         for i in range(2, DD_I_MAX + 1):
-            elements[i] += sum(len(chain_space(I, i, j)) for j in range(I.n + i + 1))
+            elements[i] += sum(len(chain_space(I, i, i + d)) for d in range(I.n + 1)
+                               if survivors(I, d + 2))
     assert len(proper) == 189 and DD_I_MAX == 4
-    assert composed == elements and sum(composed.values()) == 88651
+    assert composed == elements and sum(composed.values()) == 23580
+    assert cells == 1172  # of the 4 (n + 1) cells per ideal, 3664 in all
 
 
 def reference_boundary_squared(I, i_max):
@@ -264,6 +282,7 @@ def test_boundary_squared_skips_agree_with_the_full_composition():
         assert reference_boundary_squared(I, i_max) == []
         cells = {(i, d): real(survivors(I, d), survivors(I, d + 1), i, I.n)
                  for i in range(1, i_max + 1) for d in range(I.n + 1)}
+        read = read_cells(I, i_max)
         for (level, degree), rows in cells.items():
             for flipped in [x for x, row in enumerate(rows) if row]:
                 applied = []
@@ -279,7 +298,8 @@ def test_boundary_squared_skips_agree_with_the_full_composition():
 
                 with patch.object(cartan, "_boundary_matrix", mutant):
                     witnesses = list(_boundary_squared_failures(I, i_max))
-                    assert applied == [level]  # the check built the cell once
+                    # the check built the cell once, if it reads it
+                    assert applied == ([level] if (level, degree) in read else [])
                     assert witnesses == reference_boundary_squared(I, i_max)
                 mutants += 1
                 caught += bool(witnesses)
@@ -493,14 +513,14 @@ def test_oracle_cell_guard():
     ids=["n8", "n40"],
 )
 def test_guard_stops_at_the_first_cell_over_the_cap(n, i_max, cell, top_degree):
-    real = cartan.scan_component
+    real = cartan.component_masks
 
     def spy(gen_masks, n, t):
         # the cells run i ascending, then j: degree t is first reached at (0, t)
         assert t <= top_degree, f"degree {t} counted past the refused cell"
         return real(gen_masks, n, t)
 
-    with patch.object(cartan, "scan_component", spy):
+    with patch.object(cartan, "component_masks", spy):
         with pytest.raises(OracleTooLarge) as refusal:
             cartan_betti(ideal(n, "e1e2", "e1e3", "e2e3"), i_max, method="direct")
     where, dim = cell
@@ -509,14 +529,14 @@ def test_guard_stops_at_the_first_cell_over_the_cap(n, i_max, cell, top_degree):
 
 def test_direct_oracle_scans_each_degree_once():
     # the guard's survivor lists are the ones the direct method eliminates over
-    real, scanned = cartan.scan_component, []
+    real, scanned = cartan.component_masks, []
 
     def spy(gen_masks, n, t):
         scanned.append(t)
         return real(gen_masks, n, t)
 
     I = ideal(5, "e1e2", "e1e3", "e2e3", "e1e4e5")
-    with patch.object(cartan, "scan_component", spy):
+    with patch.object(cartan, "component_masks", spy):
         tables = cartan_betti(I, 3, method="direct")
     assert scanned == list(range(I.n + 1))
     assert tables.ideal == stable_betti_table(I, 2)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import islice, takewhile
 from math import comb
 
 import pytest
@@ -20,7 +21,11 @@ from excolex.colex import (
     revlex_conditions_two_degrees,
     segment_shadow_conditions,
 )
-from excolex.enumeration import enumerate_proper_ideals, enumerate_strongly_stable_ideals
+from excolex.enumeration import (
+    _two_degree_sets,
+    enumerate_proper_ideals,
+    enumerate_strongly_stable_ideals,
+)
 from excolex.errors import (
     AmbientCapExceeded,
     ConstructionTooLarge,
@@ -37,6 +42,7 @@ from excolex.ideals import (
     minimalize,
 )
 from excolex.monomials import Monomial, iter_degree_masks, revlex_segment, shadow_masks
+from excolex.verify import MAX_EXTRA_AT_TOP
 
 M = Monomial.from_text
 
@@ -247,6 +253,30 @@ def test_is_revlex_ideal_matches_its_componentwise_definition(I):
     assert is_revlex_ideal(I) == expected
 
 
+def literal_flags(masks, n, t):
+    """Whether each degree-t mask, ascending, is a multiple of a generator mask."""
+    return [any(g & m == g for g in masks) for m in iter_degree_masks(n, t)]
+
+
+def revlex_ideal_reference(I):
+    """Each component from the initial degree up is a run of members, then of non-members."""
+    return all(
+        flags == sorted(flags, reverse=True)
+        for flags in (literal_flags(I.masks, I.n, t) for t in range(I.indeg, I.n + 1))
+    )
+
+
+def test_is_revlex_ideal_matches_the_literal_scan_on_stable_ideals():
+    checked = revlex = 0
+    for n in range(1, 7):
+        for I in enumerate_strongly_stable_ideals(n):
+            for X in (I, colex_ideal(I)):
+                assert is_revlex_ideal(X) == revlex_ideal_reference(X), gens_text(X)
+                checked += 1
+                revlex += is_revlex_ideal(X)
+    assert (checked, revlex) == (1910, 1019)
+
+
 def test_segment_shadow_conditions_examples():
     assert segment_shadow_conditions(revlex_segment(5, 2, 3), 5) == (True, True, True)
     assert segment_shadow_conditions(revlex_segment(5, 2, 2), 5) == (False, False, False)
@@ -368,6 +398,50 @@ def two_degree_reference(I):
         "is_revlex": is_revlex,
         "consistent": is_revlex == (holds_i or holds_ii),
     }
+
+
+def two_degree_report_by_scans(I):
+    """The two-degree report with every component read by a lazy scan of the
+    ascending masks, and w and c taken by ``islice`` and ``takewhile``."""
+    (d1, p1), (d2, _) = degree_profile(I)
+    J = colex_ideal(I)
+    n = J.n
+    dim_construction_d2 = sum(literal_flags(J.masks, n, d2))
+    threshold_i = comb(n - 2, d1)
+    a_size = sum(comb(r, d1) for r in range(d1, n - 1))
+    c, holds_ii = 0, False
+    if d2 == d1 + 1:
+        w = max(shadow_masks(islice(iter_degree_masks(n, d1), p1), (1 << n) - 1))
+        z = ((1 << (d1 + 1)) - 1) << (n - d1 - 2)
+        c = sum(m > z for m in takewhile(lambda m: m <= w, iter_degree_masks(n, d2)))
+        holds_ii = dim_construction_d2 >= a_size + c
+    return colex.RevlexConditionReport(
+        n=n, d1=d1, d2=d2, dim_d1=p1, dim_d2=sum(literal_flags(I.masks, n, d2)),
+        dim_construction_d2=dim_construction_d2, threshold_i=threshold_i,
+        holds_i=p1 >= threshold_i, a_size=a_size, c=c, holds_ii=holds_ii,
+        is_revlex=revlex_ideal_reference(J),
+    )
+
+
+def test_two_degree_report_matches_the_scans_on_the_section6_walk():
+    # the first ideal of each profile of the two-degree walk that section6 runs
+    profiles = reports = 0
+    for n in range(5, 8):
+        seen = set()
+        for mset, extra in _two_degree_sets(n, MAX_EXTRA_AT_TOP if n == 7 else None):
+            profile = ((mset[0].degree, len(mset)), (extra[0].degree, len(extra)))
+            if profile in seen:
+                continue
+            seen.add(profile)
+            profiles += 1
+            I = MonomialIdeal(n, mset + extra)
+            try:
+                rep = revlex_conditions_two_degrees(I)
+            except HypothesisViolated:
+                continue
+            assert rep._asdict() == two_degree_report_by_scans(I)._asdict(), gens_text(I)
+            reports += 1
+    assert (profiles, reports) == (686, 402)
 
 
 @pytest.mark.parametrize("n", [5, 6])

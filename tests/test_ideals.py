@@ -8,6 +8,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from excolex import ideals
 from excolex.enumeration import enumerate_strongly_stable_ideals
 from excolex.errors import ContractViolation, clipped_repr
 from excolex.ideals import (
@@ -16,9 +17,10 @@ from excolex.ideals import (
     graded_component,
     is_strongly_stable_ideal,
     is_strongly_stable_ideal_componentwise,
+    _masks_at,
+    component_masks,
     minimalize,
     parse_monomial,
-    scan_component,
 )
 from excolex.monomials import MAX_VARIABLES, Monomial, iter_degree_masks, shadow_masks
 
@@ -269,13 +271,47 @@ def first_divisibility_reference(gens):
     return None
 
 
-@given(mask_lists, st.integers(0, 7))
+# any masks below 2^(n+1), with the ambient: the unit, and bits above e_n, too
+raw_mask_lists = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << (n + 1)) - 1), max_size=8))
+)
+
+
+@given(raw_mask_lists)
 @settings(max_examples=200)
-def test_component_masks_is_the_superset_filter(case, t):
+def test_component_masks_is_the_superset_filter(case):
     n, masks = case
-    t = min(t, n)
-    expected = [(m, any(g & m == g for g in masks)) for m in iter_degree_masks(n, t)]
-    assert list(scan_component(masks, n, t)) == expected
+    for t in range(n + 1):
+        table, inside = component_masks(masks, n, t)
+        assert table == tuple(iter_degree_masks(n, t))
+        flags = [any(g & m == g for g in masks) for m in table]
+        assert [inside >> p & 1 == 1 for p in range(len(table))] == flags
+        assert inside >> len(table) == 0  # no position past the table
+        assert _masks_at(table, inside) == [m for m, f in zip(table, flags) if f]
+
+
+def test_degree_tables_keep_at_most_the_scan_budget(monkeypatch):
+    # every degree-2 mask over e1..e6 divides a degree-3 one: each table holds the
+    # whole component, so the answers are the tables' own masks
+    monkeypatch.setattr(ideals, "MAX_SCANNED_MASKS", 10)
+    monkeypatch.setattr(ideals, "_tables", {})
+    gens = list(iter_degree_masks(6, 2))
+
+    def answer(n, t):
+        table, inside = component_masks(gens, n, t)
+        assert table == tuple(iter_degree_masks(n, t))
+        assert _masks_at(table, inside) == [m for m in table if any(g & m == g for g in gens)]
+        return len(table)
+
+    assert answer(6, 3) == 20  # over the budget: answered, not kept
+    assert ideals._tables == {}
+    assert answer(5, 2) == 10  # exactly the budget: kept
+    assert list(ideals._tables) == [(5, 2)]
+    assert answer(4, 2) == 6  # the two would pass the budget: the older goes
+    assert list(ideals._tables) == [(4, 2)]
+    assert answer(3, 2) + answer(3, 3) == 4  # ten in all, within the budget: all kept
+    assert list(ideals._tables) == [(4, 2), (3, 2), (3, 3)]
+    assert answer(6, 3) == 20 and len(ideals._tables) == 3
 
 
 @given(mask_lists, st.integers(0, 127))
