@@ -13,12 +13,12 @@ from excolex.enumeration import enumerate_strongly_stable_ideals
 from excolex.errors import ContractViolation, clipped_repr
 from excolex.ideals import (
     MonomialIdeal,
+    _masks_at,
+    component_masks,
     degree_profile,
     graded_component,
     is_strongly_stable_ideal,
     is_strongly_stable_ideal_componentwise,
-    _masks_at,
-    component_masks,
     minimalize,
     parse_monomial,
 )
@@ -291,8 +291,8 @@ def test_component_masks_is_the_superset_filter(case):
 
 
 def test_degree_tables_keep_at_most_the_scan_budget(monkeypatch):
-    # every degree-2 mask over e1..e6 divides a degree-3 one: each table holds the
-    # whole component, so the answers are the tables' own masks
+    # a table over the budget is answered like the literal filter and not kept;
+    # tables within it are kept, the oldest dropped first
     monkeypatch.setattr(ideals, "MAX_SCANNED_MASKS", 10)
     monkeypatch.setattr(ideals, "_tables", {})
     gens = list(iter_degree_masks(6, 2))
