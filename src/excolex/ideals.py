@@ -8,8 +8,8 @@ cross-check each other. ``component_masks`` reads a whole component at once:
 over a cached table of the ascending degree-t masks it keeps, per variable, a
 bitmap of the positions whose mask holds it, so a generator's multiples are
 an AND of bitmaps and the component an OR over the generators. Every reader
-of a whole component goes through it; only the colexsegment greedy scans a
-prefix of one, lazily.
+of a whole component goes through it; the readers of a prefix (the
+colexsegment greedy, ``colex.is_revlex_segment``) scan it lazily instead.
 
 Minimality only ever compares generators of different degrees: distinct masks
 with the same bit count are never subsets of one another, so a generating set
