@@ -40,6 +40,7 @@ _EXPORTS = {
     "errors": (
         "AmbientCapExceeded",
         "CampaignTooLarge",
+        "ComponentTooLarge",
         "ConstructionTooLarge",
         "ContractViolation",
         "DegreeTooHigh",

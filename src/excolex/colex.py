@@ -12,13 +12,15 @@ argument so that this can be checked by rerunning it at larger m.
 The greedy scans each degree's masks lazily and stops at its last pick; the
 revlex tests read whole components through ``ideals.component_masks``, as
 bitmaps over the ascending masks: a component is a revlex segment exactly
-when its bitmap u has u & (u + 1) == 0, and its dimension is a popcount.
+when its bitmap u has u & (u + 1) == 0, and its dimension is a popcount. That
+kernel refuses a component too large for its table (``ComponentTooLarge``),
+where the lazy greedy and ``is_revlex_segment`` read only a prefix.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import groupby
+from itertools import groupby, islice
 from math import comb
 from typing import NamedTuple
 
@@ -31,15 +33,7 @@ from .errors import (
     NotARevlexSegment,
     clipped_repr,
 )
-from .ideals import (
-    MAX_SCANNED_MASKS,
-    DegreeProfile,
-    MonomialIdeal,
-    _degree_table,
-    _derived_ideal,
-    component_masks,
-    degree_profile,
-)
+from .ideals import DegreeProfile, MonomialIdeal, _derived_ideal, component_masks, degree_profile
 from .monomials import (
     MAX_VARIABLES,
     Monomial,
@@ -51,6 +45,8 @@ from .monomials import (
 
 # Largest ambient size the construction scan tries unless told otherwise.
 DEFAULT_AMBIENT_CAP = 32
+# Masks the greedy may visit, over all degrees, before it refuses (~1 us a mask, CPython 3.11).
+MAX_SCANNED_MASKS = 1_000_000
 
 
 def greedy_generators(profile: DegreeProfile, m: int) -> tuple[Monomial, ...] | None:
@@ -125,7 +121,9 @@ def is_revlex_segment(monos, n: int) -> bool:
 
 def is_revlex_ideal(I: MonomialIdeal) -> bool:
     """Every graded component from the initial degree up is a revlex segment:
-    its positions among the ascending masks are 0..L-1, a bitmap 2^L - 1."""
+    its positions among the ascending masks are 0..L-1, a bitmap 2^L - 1.
+    Refuses (``ComponentTooLarge``) a component it must read that is too
+    large for a table (see ``ideals.component_masks``)."""
     for t in range(I.indeg, I.n + 1):
         masks, inside = component_masks(I.masks, I.n, t)
         if inside & (inside + 1):
@@ -140,7 +138,8 @@ def segment_shadow_conditions(monos, n: int) -> tuple[bool, bool, bool]:
 
     Returns (shadow is a revlex segment, |M| >= C(n-2, d), the corner monomial
     e_{n-d-1}...e_{n-2} lies in M). The equivalence itself is a theorem; the
-    harness checks it exhaustively.
+    harness checks it exhaustively. Refuses (``ComponentTooLarge``) when the
+    degree-(d+1) component is too large for a table.
     """
     monos = set(monos)
     d = common_degree(monos)
@@ -217,7 +216,7 @@ def revlex_conditions_two_degrees(I: MonomialIdeal) -> RevlexConditionReport:
     c, holds_ii = 0, False
     if d2 == d1 + 1:
         # w: the revlex-least member (largest mask) of the degree-d1 segment's shadow
-        w = max(shadow_masks(_degree_table(n, d1)[0][:dim_d1], (1 << n) - 1))
+        w = max(shadow_masks(islice(iter_degree_masks(n, d1), dim_d1), (1 << n) - 1))
         z = ((1 << (d1 + 1)) - 1) << (n - d1 - 2)  # e_{n-d1-1}...e_{n-1}
         # count degree-d2 monomials v with z > v >= w; masks ascend in revlex
         # descending order, so the window is z < mask(v) <= w, empty when w < z

@@ -68,6 +68,10 @@ class ConstructionTooLarge(RuntimeError):
     """The construction's greedy scan passed its mask budget."""
 
 
+class ComponentTooLarge(RuntimeError):
+    """A whole graded component has more masks than its table may hold."""
+
+
 class OracleTooLarge(RuntimeError):
     """The oracle's work, as the method that runs measures it, passes its cap."""
 

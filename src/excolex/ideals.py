@@ -8,8 +8,10 @@ cross-check each other. ``component_masks`` reads a whole component at once:
 over a cached table of the ascending degree-t masks it keeps, per variable, a
 bitmap of the positions whose mask holds it, so a generator's multiples are
 an AND of bitmaps and the component an OR over the generators. Every reader
-of a whole component goes through it; the readers of a prefix (the
-colexsegment greedy, ``colex.is_revlex_segment``) scan it lazily instead.
+of a whole component goes through it, and a component of more than
+``MAX_TABLE_MASKS`` masks is refused before its table is built. The readers of
+a prefix (the colexsegment greedy, ``colex.is_revlex_segment``) scan it lazily
+instead, so a huge component costs them only the prefix they read.
 
 Minimality only ever compares generators of different degrees: distinct masks
 with the same bit count are never subsets of one another, so a generating set
@@ -32,7 +34,7 @@ from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import comb
 
-from .errors import ContractViolation, clipped_repr
+from .errors import ComponentTooLarge, ContractViolation, clipped_repr
 from .monomials import (
     Monomial,
     _require_ambient_size,
@@ -46,10 +48,10 @@ DegreeProfile = tuple[tuple[int, int], ...]
 
 _set = object.__setattr__  # MonomialIdeal's own __setattr__ refuses every write
 
-# Masks the colexsegment greedy may visit, over all degrees, before it refuses
-# (~1 us a mask, CPython 3.11); also the most masks the degree tables keep in all.
-MAX_SCANNED_MASKS = 1_000_000
-_tables: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}  # oldest first
+# The most masks a degree table may hold, and the kept tables in all: a larger
+# table is refused before it is built (C(32, 16) masks would not fit in memory).
+MAX_TABLE_MASKS = 1_000_000
+_tables: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
 def _canonical(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -217,40 +219,26 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
     return MonomialIdeal(n, [Monomial(m) for m in below + level])
 
 
-def _variable_bitmaps(n: int, t: int) -> tuple[int, ...]:
-    """For each variable k < n, the bitmap of the positions, among the ascending
-    degree-t masks below 2^n, of the masks that hold k.
-
-    Over the variables 0..v, the degree-s masks are those over 0..v-1, then
-    the degree-(s-1) ones with bit v added: each variable added shifts and
-    joins the bitmaps of two degrees, and only the degrees that can still
-    reach t are kept."""
-    rows: dict[int, tuple[int, ...]] = {0: ()}  # by degree; over no variable, one empty mask
-    for v in range(n):
-        zeros = (0,) * v  # a degree with no mask over 0..v-1
-        grown = {}
-        for s in range(max(0, t - n + v + 1), min(t, v + 1) + 1):
-            shift = comb(v, s)  # the masks without bit v come first
-            low, high = rows.get(s, zeros), rows.get(s - 1, zeros)
-            top = ((1 << comb(v, s - 1)) - 1) << shift if s else 0
-            grown[s] = tuple([a | b << shift for a, b in zip(low, high)]) + (top,)
-        rows = grown
-    return rows[t]
-
-
 def _degree_table(n: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ascending degree-t masks below 2^n and their variable bitmaps.
+    """The ascending degree-t masks below 2^n and, for each variable k < n, the
+    bitmap of the positions whose mask holds k.
 
-    Cached while the kept tables hold at most ``MAX_SCANNED_MASKS`` masks in
-    all, the oldest dropped first; a larger table is built and not kept."""
+    Refuses (``ComponentTooLarge``) a table of more than ``MAX_TABLE_MASKS``
+    masks before building it; a table is kept while all kept tables fit
+    under that bound."""
     table = _tables.get((n, t))
     if table is None:
-        table = tuple(iter_degree_masks(n, t)), _variable_bitmaps(n, t)
-        size = len(table[0])
-        if size <= MAX_SCANNED_MASKS:
-            kept = sum(len(masks) for masks, _ in _tables.values())
-            while kept + size > MAX_SCANNED_MASKS:
-                kept -= len(_tables.pop(next(iter(_tables)))[0])
+        size = comb(n, t)
+        if size > MAX_TABLE_MASKS:
+            raise ComponentTooLarge(
+                f"degree-{t} component of e_1..e_{n} has {size} masks, above {MAX_TABLE_MASKS}"
+            )
+        masks = tuple(iter_degree_masks(n, t))
+        # the masks in n-digit binary, the last first: the digits of variable k
+        # are every n-th character, and position p lands on bit p
+        text = "".join([f"{m:0{n}b}" for m in reversed(masks)])
+        table = masks, tuple(int(text[n - 1 - k :: n], 2) for k in range(n))
+        if size + sum(len(kept) for kept, _ in _tables.values()) <= MAX_TABLE_MASKS:
             _tables[n, t] = table
     return table
 
@@ -261,7 +249,8 @@ def component_masks(gen_masks: Iterable[int], n: int, t: int) -> tuple[tuple[int
 
     The superset test, a whole component at once: a generator's multiples are
     the AND of its variables' bitmaps, and the component is the OR over the
-    generators."""
+    generators. Refuses (``ComponentTooLarge``) a component of more than
+    ``MAX_TABLE_MASKS`` masks."""
     masks, bitmaps = _degree_table(n, t)
     full = (1 << len(masks)) - 1
     inside = 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from excolex import colex
+from excolex import colex, ideals
 from excolex.cli import main
 from excolex.colex import (
     colex_ideal,
@@ -28,6 +28,7 @@ from excolex.enumeration import (
 )
 from excolex.errors import (
     AmbientCapExceeded,
+    ComponentTooLarge,
     ConstructionTooLarge,
     ContractViolation,
     DegreeTooHigh,
@@ -293,6 +294,21 @@ def test_segment_shadow_conditions_contracts():
         segment_shadow_conditions(revlex_segment(5, 3, 2), 5)
     with pytest.raises(ContractViolation):
         segment_shadow_conditions(set(), 5)
+
+
+def test_whole_component_readers_refuse_a_component_too_large_for_a_table(monkeypatch):
+    # both inputs are settled by a few of the C(32, 16) degree-16 masks, but
+    # the whole-component kernel refuses that component before building it
+    def build(n, t):
+        raise AssertionError(f"the degree-{t} table of e_1..e_{n} was built")
+
+    monkeypatch.setattr(ideals, "iter_degree_masks", build)
+    I = MonomialIdeal(32, [Monomial(0xFFFF), Monomial(0x1BFFF)])  # positions 0 and 2
+    assert I.indeg == 16 and len(I.gens_of_degree(16)) == 2
+    with pytest.raises(ComponentTooLarge):
+        is_revlex_ideal(I)
+    with pytest.raises(ComponentTooLarge):  # the shadow of degree 16
+        segment_shadow_conditions(revlex_segment(32, 15, 2), 32)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

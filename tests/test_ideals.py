@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from excolex import ideals
 from excolex.enumeration import enumerate_strongly_stable_ideals
-from excolex.errors import ContractViolation, clipped_repr
+from excolex.errors import ComponentTooLarge, ContractViolation, clipped_repr
 from excolex.ideals import (
     MonomialIdeal,
     _masks_at,
@@ -290,11 +290,18 @@ def test_component_masks_is_the_superset_filter(case):
         assert _masks_at(table, inside) == [m for m, f in zip(table, flags) if f]
 
 
-def test_degree_tables_keep_at_most_the_scan_budget(monkeypatch):
-    # a table over the budget is answered like the literal filter and not kept;
-    # tables within it are kept, the oldest dropped first
-    monkeypatch.setattr(ideals, "MAX_SCANNED_MASKS", 10)
+def test_degree_tables_stay_within_their_mask_bound(monkeypatch):
+    # a table over the bound is refused before it is built; one that fits
+    # alone but not beside the kept ones is answered and not kept
+    monkeypatch.setattr(ideals, "MAX_TABLE_MASKS", 10)
     monkeypatch.setattr(ideals, "_tables", {})
+    built = []
+
+    def iter_masks(n, t):
+        built.append((n, t))
+        return iter_degree_masks(n, t)
+
+    monkeypatch.setattr(ideals, "iter_degree_masks", iter_masks)
     gens = list(iter_degree_masks(6, 2))
 
     def answer(n, t):
@@ -303,15 +310,13 @@ def test_degree_tables_keep_at_most_the_scan_budget(monkeypatch):
         assert _masks_at(table, inside) == [m for m in table if any(g & m == g for g in gens)]
         return len(table)
 
-    assert answer(6, 3) == 20  # over the budget: answered, not kept
-    assert ideals._tables == {}
-    assert answer(5, 2) == 10  # exactly the budget: kept
-    assert list(ideals._tables) == [(5, 2)]
-    assert answer(4, 2) == 6  # the two would pass the budget: the older goes
-    assert list(ideals._tables) == [(4, 2)]
-    assert answer(3, 2) + answer(3, 3) == 4  # ten in all, within the budget: all kept
-    assert list(ideals._tables) == [(4, 2), (3, 2), (3, 3)]
-    assert answer(6, 3) == 20 and len(ideals._tables) == 3
+    with pytest.raises(ComponentTooLarge, match="degree-3 component of e_1..e_6 has 20 masks"):
+        component_masks(gens, 6, 3)
+    assert built == [] and ideals._tables == {}
+    assert answer(5, 2) == 10  # exactly the bound: kept
+    assert answer(4, 2) == 6  # the two would pass the bound: answered, not kept
+    assert answer(5, 2) == 10  # read from the cache
+    assert built == [(5, 2), (4, 2)] and list(ideals._tables) == [(5, 2)]
 
 
 @given(mask_lists, st.integers(0, 127))

@@ -37,9 +37,10 @@ EXPORTS = {
         "enumerate_strongly_stable_sets",
     ],
     "errors": [
-        "AmbientCapExceeded", "CampaignTooLarge", "ConstructionTooLarge", "ContractViolation",
-        "DegreeTooHigh", "FormulaInapplicable", "HypothesisViolated", "InsufficientMonomials",
-        "NotARevlexSegment", "OracleTooLarge", "ProfileMismatch", "TableTooLarge",
+        "AmbientCapExceeded", "CampaignTooLarge", "ComponentTooLarge", "ConstructionTooLarge",
+        "ContractViolation", "DegreeTooHigh", "FormulaInapplicable", "HypothesisViolated",
+        "InsufficientMonomials", "NotARevlexSegment", "OracleTooLarge", "ProfileMismatch",
+        "TableTooLarge",
     ],
     "ideals": [
         "MonomialIdeal", "degree_profile", "graded_component", "is_strongly_stable_ideal",
